@@ -178,7 +178,8 @@ inline void WriteJsonResult(const std::string& path, const std::string& name,
       "\"background\":{\"jobs_scheduled\":%llu,\"memtable_swaps\":%llu},"
       "\"errors\":{\"transient\":%llu,\"retried\":%llu,\"fatal\":%llu,"
       "\"resumes\":%llu},"
-      "\"compactions\":%llu,\"write_amplification\":%.2f%s}\n",
+      "\"compactions\":%llu,\"write_amplification\":%.2f,"
+      "\"range_fragment_builds\":%llu%s}\n",
       name.c_str(), threads, static_cast<unsigned long long>(ops),
       ops_per_sec, latency.Percentile(50.0), latency.Percentile(99.0),
       latency.Max(),
@@ -197,7 +198,9 @@ inline void WriteJsonResult(const std::string& path, const std::string& name,
       static_cast<unsigned long long>(stats.errors_fatal),
       static_cast<unsigned long long>(stats.resume_count),
       static_cast<unsigned long long>(stats.compaction_count),
-      stats.WriteAmplification(), extra_fields.c_str());
+      stats.WriteAmplification(),
+      static_cast<unsigned long long>(stats.range_fragment_builds),
+      extra_fields.c_str());
   std::fclose(f);
 }
 

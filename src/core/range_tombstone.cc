@@ -67,44 +67,52 @@ void FragmentedRangeTombstoneList::Build(
   if (raw_.empty()) return;
 
   // Fragment boundaries: every begin and end key, deduplicated.
+  auto less = [ucmp](const Slice& a, const Slice& b) {
+    return ucmp->Compare(a, b) < 0;
+  };
   std::vector<Slice> bounds;
   bounds.reserve(raw_.size() * 2);
   for (const RangeTombstone& t : raw_) {
     bounds.push_back(t.begin);
     bounds.push_back(t.end);
   }
-  std::sort(bounds.begin(), bounds.end(),
-            [ucmp](const Slice& a, const Slice& b) {
-              return ucmp->Compare(a, b) < 0;
-            });
+  std::sort(bounds.begin(), bounds.end(), less);
   bounds.erase(std::unique(bounds.begin(), bounds.end(),
                            [ucmp](const Slice& a, const Slice& b) {
                              return ucmp->Compare(a, b) == 0;
                            }),
                bounds.end());
 
-  // For each adjacent boundary pair, collect the seqs of covering
-  // tombstones. Quadratic in tombstone count, which is fine at the scale a
-  // single memtable/SSTable accumulates; fragments are built once per flush
-  // or table open, never per read.
-  for (size_t i = 0; i + 1 < bounds.size(); i++) {
-    Fragment frag;
-    for (const RangeTombstone& t : raw_) {
-      if (ucmp->Compare(t.begin, bounds[i]) <= 0 &&
-          ucmp->Compare(bounds[i + 1], t.end) <= 0) {
-        frag.seqs.push_back(t.seq);
-      }
+  // Sweep: each tombstone covers exactly the gaps between its own begin and
+  // end boundaries, so two binary searches locate them and its seq is
+  // pushed onto each. O(n log n) plus the size of the output.
+  auto index_of = [&](const Slice& key) {
+    return static_cast<size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), key, less) -
+        bounds.begin());
+  };
+  std::vector<std::vector<SequenceNumber>> gap_seqs(bounds.size() - 1);
+  for (const RangeTombstone& t : raw_) {
+    const size_t end = index_of(t.end);
+    for (size_t g = index_of(t.begin); g < end; g++) {
+      gap_seqs[g].push_back(t.seq);
     }
-    if (frag.seqs.empty()) continue;
-    std::sort(frag.seqs.begin(), frag.seqs.end());
-    frag.begin.assign(bounds[i].data(), bounds[i].size());
-    frag.end.assign(bounds[i + 1].data(), bounds[i + 1].size());
+  }
+
+  for (size_t i = 0; i < gap_seqs.size(); i++) {
+    std::vector<SequenceNumber>& seqs = gap_seqs[i];
+    if (seqs.empty()) continue;
+    std::sort(seqs.begin(), seqs.end());
     // Merge with the previous fragment when contiguous and identical, so
     // abutting tombstones do not fracture into needless pieces.
-    if (!fragments_.empty() && fragments_.back().end == frag.begin &&
-        fragments_.back().seqs == frag.seqs) {
-      fragments_.back().end = frag.end;
+    if (!fragments_.empty() && Slice(fragments_.back().end) == bounds[i] &&
+        fragments_.back().seqs == seqs) {
+      fragments_.back().end.assign(bounds[i + 1].data(), bounds[i + 1].size());
     } else {
+      Fragment frag;
+      frag.begin.assign(bounds[i].data(), bounds[i].size());
+      frag.end.assign(bounds[i + 1].data(), bounds[i + 1].size());
+      frag.seqs = std::move(seqs);
       fragments_.push_back(std::move(frag));
     }
   }

@@ -63,7 +63,8 @@ class FragmentedRangeTombstoneList {
   FragmentedRangeTombstoneList() = default;
 
   // Fragment |tombstones| under |ucmp| (user-key order). Empty and inverted
-  // inputs (begin >= end) are dropped.
+  // inputs (begin >= end) are dropped. O(n log n) in the tombstone count
+  // plus the size of the output (the total number of fragment seqs).
   void Build(const Comparator* ucmp,
              const std::vector<RangeTombstone>& tombstones);
 

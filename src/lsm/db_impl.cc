@@ -3039,28 +3039,35 @@ Iterator* DBImpl::NewIterator(const ReadOptions& options) {
            ? static_cast<const SnapshotImpl*>(options.snapshot)
                  ->sequence_number()
            : latest_snapshot);
-  // Materialize every range tombstone visible to this iterator's snapshot
-  // into one fragmented list (snapshot filtering happens at query time in
-  // MaxCoveringSeq). The pinned ReadState keeps all sources stable; the
-  // list is built once here so iteration itself never touches the tree.
-  std::vector<RangeTombstone> raw;
-  state->mem->CollectRangeTombstones(&raw);
-  if (state->imm != nullptr) {
-    state->imm->CollectRangeTombstones(&raw);
-  }
-  Status rs = state->current->CollectRangeTombstones(&raw);
+  // Range tombstones come from two lists, both filtered by snapshot at
+  // query time in MaxCoveringSeq: the pinned version's shared fragments
+  // (built by the first iterator on that version) and a per-iterator list
+  // of the pinned memtables' few tombstones. The pinned ReadState keeps the
+  // version, and so its list, alive for the iterator's whole lifetime.
+  const FragmentedRangeTombstoneList* table_range_dels = nullptr;
+  bool built = false;
+  Status rs = state->current->RangeTombstoneFragments(&table_range_dels,
+                                                      &built);
   if (!rs.ok()) {
     // Dropping tombstones would resurrect deleted keys; fail the iterator.
     delete iter;
     return NewErrorIterator(rs);
   }
-  FragmentedRangeTombstoneList* range_dels = nullptr;
+  if (built) range_fragment_builds_.fetch_add(1, std::memory_order_relaxed);
+  if (table_range_dels->empty()) table_range_dels = nullptr;
+  std::vector<RangeTombstone> raw;
+  state->mem->CollectRangeTombstones(&raw);
+  if (state->imm != nullptr) {
+    state->imm->CollectRangeTombstones(&raw);
+  }
+  std::unique_ptr<FragmentedRangeTombstoneList> mem_range_dels;
   if (!raw.empty()) {
-    range_dels = new FragmentedRangeTombstoneList();
-    range_dels->Build(internal_comparator_.user_comparator(), raw);
+    mem_range_dels = std::make_unique<FragmentedRangeTombstoneList>();
+    mem_range_dels->Build(internal_comparator_.user_comparator(), raw);
   }
   return NewDBIterator(internal_comparator_.user_comparator(), iter, seq,
-                       &iter_tombstones_skipped_, range_dels, &vlog_readers_,
+                       &iter_tombstones_skipped_, table_range_dels,
+                       std::move(mem_range_dels), &vlog_readers_,
                        &vlog_reads_);
 }
 
@@ -3762,6 +3769,8 @@ void DBImpl::MergeReadPathCounters(InternalStats* merged) const {
   merged->gets_found = gets_found_.load(std::memory_order_relaxed);
   merged->bloom_useful = table_cache_->filter_negatives_total();
   merged->vlog_reads = vlog_reads_.load(std::memory_order_relaxed);
+  merged->range_fragment_builds =
+      range_fragment_builds_.load(std::memory_order_relaxed);
 }
 
 InternalStats DBImpl::GetStats() {

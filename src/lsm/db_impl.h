@@ -513,6 +513,8 @@ class DBImpl : public DB {
   // above (bloom_useful is merged from the table cache's aggregate).
   std::atomic<uint64_t> gets_{0};
   std::atomic<uint64_t> gets_found_{0};
+  // Per-version range-tombstone fragment lists published by NewIterator.
+  std::atomic<uint64_t> range_fragment_builds_{0};
 
   // Logical time at which the next file-TTL expiry fires; writes past this
   // point invoke the compaction machinery even without a flush. UINT64_MAX

@@ -1,5 +1,7 @@
 #include "src/lsm/db_iter.h"
 
+#include <utility>
+
 #include "src/util/comparator.h"
 
 namespace acheron {
@@ -20,13 +22,15 @@ class DBIter : public Iterator {
 
   DBIter(const Comparator* cmp, Iterator* iter, SequenceNumber s,
          std::atomic<uint64_t>* tombstone_skips,
-         FragmentedRangeTombstoneList* range_dels,
+         const FragmentedRangeTombstoneList* table_range_dels,
+         std::unique_ptr<FragmentedRangeTombstoneList> mem_range_dels,
          vlog::ReaderCache* vlog_readers, std::atomic<uint64_t>* vlog_reads)
       : user_comparator_(cmp),
         iter_(iter),
         sequence_(s),
         tombstone_skips_(tombstone_skips),
-        range_dels_(range_dels),
+        table_range_dels_(table_range_dels),
+        mem_range_dels_(std::move(mem_range_dels)),
         vlog_readers_(vlog_readers),
         vlog_reads_(vlog_reads),
         direction_(kForward),
@@ -37,7 +41,6 @@ class DBIter : public Iterator {
 
   ~DBIter() override {
     FlushTombstoneSkips();
-    delete range_dels_;
     delete iter_;
   }
 
@@ -73,11 +76,18 @@ class DBIter : public Iterator {
   bool ParseKey(ParsedInternalKey* key);
 
   // True when a range tombstone visible at sequence_ hides |ikey|: covered
-  // entries behave exactly like entries below a point deletion.
+  // entries behave exactly like entries below a point deletion. The larger
+  // covering seq of the two lists decides, so either one exceeding the
+  // entry's sequence suffices.
   bool RangeCovered(const ParsedInternalKey& ikey) const {
-    return range_dels_ != nullptr &&
-           range_dels_->MaxCoveringSeq(ikey.user_key, sequence_) >
-               ikey.sequence;
+    return CoveredBy(table_range_dels_, ikey) ||
+           CoveredBy(mem_range_dels_.get(), ikey);
+  }
+
+  bool CoveredBy(const FragmentedRangeTombstoneList* list,
+                 const ParsedInternalKey& ikey) const {
+    return list != nullptr &&
+           list->MaxCoveringSeq(ikey.user_key, sequence_) > ikey.sequence;
   }
 
   // Dereference an encoded vLog pointer into resolved_value_. On failure
@@ -134,8 +144,11 @@ class DBIter : public Iterator {
   Iterator* const iter_;
   SequenceNumber const sequence_;
   std::atomic<uint64_t>* const tombstone_skips_;
-  FragmentedRangeTombstoneList* const range_dels_;  // owned; may be null
-  vlog::ReaderCache* const vlog_readers_;           // not owned; may be null
+  // Not owned (the pinned version's shared list); may be null.
+  const FragmentedRangeTombstoneList* const table_range_dels_;
+  // The pinned memtables' tombstones; may be null.
+  const std::unique_ptr<FragmentedRangeTombstoneList> mem_range_dels_;
+  vlog::ReaderCache* const vlog_readers_;  // not owned; may be null
   std::atomic<uint64_t>* const vlog_reads_;
   uint64_t pending_tombstone_skips_ = 0;
   Status status_;
@@ -370,11 +383,14 @@ void DBIter::SeekToLast() {
 Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
                         std::atomic<uint64_t>* tombstone_skips,
-                        FragmentedRangeTombstoneList* range_dels,
+                        const FragmentedRangeTombstoneList* table_range_dels,
+                        std::unique_ptr<FragmentedRangeTombstoneList>
+                            mem_range_dels,
                         vlog::ReaderCache* vlog_readers,
                         std::atomic<uint64_t>* vlog_reads) {
   return new DBIter(user_key_comparator, internal_iter, sequence,
-                    tombstone_skips, range_dels, vlog_readers, vlog_reads);
+                    tombstone_skips, table_range_dels,
+                    std::move(mem_range_dels), vlog_readers, vlog_reads);
 }
 
 }  // namespace acheron

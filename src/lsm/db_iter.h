@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "src/core/range_tombstone.h"
 #include "src/lsm/dbformat.h"
@@ -19,11 +20,14 @@ namespace acheron {
 // |tombstone_skips| may be null; when set, tombstones skipped during
 // iteration are counted into it. It must be an atomic: iterators run outside
 // the DB mutex, concurrently with writers and with each other.
-// |range_dels| (may be null) is the fragmented union of every range
-// tombstone visible to this iterator's sources; ownership transfers to the
-// iterator. An entry whose sequence is below a covering fragment at or
-// below |sequence| is suppressed exactly like a point deletion (and counted
-// as a tombstone skip).
+// Range tombstones come in two lists, either of which may be null:
+// |table_range_dels| is the fragmented union of the pinned version's table
+// tombstones, shared with other iterators and not owned (it must outlive
+// the iterator; the version pin held by |internal_iter| guarantees that),
+// and |mem_range_dels| holds the pinned memtables' tombstones and is owned.
+// An entry whose sequence is below a covering fragment at or below
+// |sequence| in either list is suppressed exactly like a point deletion
+// (and counted as a tombstone skip).
 // |vlog_readers| (may be null when key-value separation is off) dereferences
 // kTypeValuePointer entries: the iterator resolves the pointer when it
 // accepts the entry, so value() always yields the user value. A failed
@@ -33,7 +37,9 @@ namespace acheron {
 Iterator* NewDBIterator(const Comparator* user_key_comparator,
                         Iterator* internal_iter, SequenceNumber sequence,
                         std::atomic<uint64_t>* tombstone_skips,
-                        FragmentedRangeTombstoneList* range_dels = nullptr,
+                        const FragmentedRangeTombstoneList* table_range_dels,
+                        std::unique_ptr<FragmentedRangeTombstoneList>
+                            mem_range_dels,
                         vlog::ReaderCache* vlog_readers = nullptr,
                         std::atomic<uint64_t>* vlog_reads = nullptr);
 

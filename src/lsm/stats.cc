@@ -11,7 +11,8 @@ std::string InternalStats::ToString() const {
       "writes: user=%llu wal=%llu | flush: n=%llu bytes=%llu | "
       "compaction: n=%llu read=%llu written=%llu trivial=%llu | "
       "dropped: shadowed=%llu tombstones_bottom=%llu | "
-      "reads: gets=%llu found=%llu bloom_useful=%llu iter_ts_skip=%llu | "
+      "reads: gets=%llu found=%llu bloom_useful=%llu iter_ts_skip=%llu "
+      "range_frag_builds=%llu | "
       "stalls: slowdown=%llu stop=%llu imm_wait=%llu ttl_wait=%llu "
       "micros=%llu | bg: jobs=%llu swaps=%llu | "
       "commit: wal_syncs=%llu groups=%llu grouped_writes=%llu | "
@@ -35,6 +36,7 @@ std::string InternalStats::ToString() const {
       static_cast<unsigned long long>(gets_found),
       static_cast<unsigned long long>(bloom_useful),
       static_cast<unsigned long long>(iter_tombstones_skipped),
+      static_cast<unsigned long long>(range_fragment_builds),
       static_cast<unsigned long long>(stall_slowdown_writes),
       static_cast<unsigned long long>(stall_stop_writes),
       static_cast<unsigned long long>(stall_memtable_waits),

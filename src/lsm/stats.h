@@ -12,10 +12,11 @@ namespace acheron {
 // Externally synchronized: the DBImpl-owned instance is GUARDED_BY
 // DBImpl::mutex_ and mutated only on annotated EXCLUSIVE_LOCKS_REQUIRED
 // paths. Counters bumped on lock-free paths -- gets/gets_found on the
-// mutex-free Get hot path, iter_tombstones_skipped by live iterators, and
-// bloom_useful inside table reads -- live as relaxed atomics in DBImpl and
-// TableCache and are merged into the snapshot copy handed out by
-// DB::GetStats()/GetProperty() (see DBImpl::MergeReadPathCounters).
+// mutex-free Get hot path, iter_tombstones_skipped and range_fragment_builds
+// by iterators, and bloom_useful inside table reads -- live as relaxed
+// atomics in DBImpl and TableCache and are merged into the snapshot copy
+// handed out by DB::GetStats()/GetProperty() (see
+// DBImpl::MergeReadPathCounters).
 struct InternalStats {
   // --- write path ---
   uint64_t user_bytes_written = 0;  // key+value bytes accepted from callers
@@ -80,6 +81,8 @@ struct InternalStats {
   uint64_t gets_found = 0;
   uint64_t bloom_useful = 0;         // table probes skipped by the filter
   uint64_t iter_tombstones_skipped = 0;  // tombstones stepped over by scans
+  uint64_t range_fragment_builds = 0;    // per-version range-tombstone
+                                         // fragment lists built for scans
 
   // Write amplification: bytes written to storage (flush + compaction +
   // value-log appends, including GC relocations) per user byte. Counting

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <array>
 #include <map>
+#include <memory>
 
 #include "src/core/compaction_planner.h"
 #include "src/env/env.h"
@@ -97,6 +98,7 @@ bool SomeFileOverlapsRange(const InternalKeyComparator& icmp,
 
 Version::~Version() {
   assert(refs_ == 0);
+  delete range_fragments_.load(std::memory_order_acquire);
 
   // Remove from linked list
   prev_->next_ = next_;
@@ -617,15 +619,33 @@ SequenceNumber Version::MaxRangeCoveringSeq(const Slice& user_key,
   return best;
 }
 
-Status Version::CollectRangeTombstones(std::vector<RangeTombstone>* out) const {
-  for (int level = 0; level < kNumLevels; level++) {
-    for (FileMetaData* f : files_[level]) {
-      if (!f->has_range_tombstones()) continue;
-      Status s = vset_->table_cache_->GetRangeTombstones(f->number,
-                                                         f->file_size, out);
-      if (!s.ok()) return s;
+Status Version::RangeTombstoneFragments(
+    const FragmentedRangeTombstoneList** list, bool* built) {
+  *built = false;
+  const FragmentedRangeTombstoneList* cached =
+      range_fragments_.load(std::memory_order_acquire);
+  if (cached == nullptr) {
+    std::vector<RangeTombstone> raw;
+    for (int level = 0; level < kNumLevels; level++) {
+      for (FileMetaData* f : files_[level]) {
+        if (!f->has_range_tombstones()) continue;
+        // io: unlocked -- table opens; the pinned version keeps f alive
+        Status s = vset_->table_cache_->GetRangeTombstones(
+            f->number, f->file_size, &raw);
+        if (!s.ok()) return s;
+      }
+    }
+    auto fresh = std::make_unique<FragmentedRangeTombstoneList>();
+    fresh->Build(vset_->icmp_.user_comparator(), raw);
+    // On failure |cached| receives the racer's published list.
+    if (range_fragments_.compare_exchange_strong(cached, fresh.get(),
+                                                 std::memory_order_acq_rel,
+                                                 std::memory_order_acquire)) {
+      cached = fresh.release();
+      *built = true;
     }
   }
+  *list = cached;
   return Status::OK();
 }
 

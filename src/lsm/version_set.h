@@ -135,9 +135,17 @@ class Version {
   SequenceNumber MaxRangeCoveringSeq(const Slice& user_key,
                                      SequenceNumber snapshot) const;
 
-  // Append every raw range tombstone stored in this version's files to
-  // |*out| (iterator construction, compaction planning diagnostics).
-  Status CollectRangeTombstones(std::vector<RangeTombstone>* out) const;
+  // The fragmented union of every range tombstone in this version's files,
+  // shared by every iterator that pins the version (its file set never
+  // changes, and snapshot filtering happens at query time). The first
+  // caller builds it, opening tables without holding any lock, and
+  // publishes it with one compare-exchange; a racer that loses discards its
+  // copy. On OK |*list| is non-null and |*built| says whether this call
+  // published it. A failed table open returns the error and caches
+  // nothing, so a later call retries.
+  // REQUIRES: the version is pinned (Ref or a ReadState).
+  Status RangeTombstoneFragments(const FragmentedRangeTombstoneList** list,
+                                 bool* built);
 
   // Sum over all files of (last_seq - earliest tombstone seq); diagnostics
   // for the delete-persistence invariant.
@@ -177,6 +185,10 @@ class Version {
 
   // List of files per level.
   std::vector<FileMetaData*> files_[kNumLevels];
+
+  // Built lazily by RangeTombstoneFragments (most versions are never
+  // scanned); owned, freed with the version. Null until published.
+  std::atomic<const FragmentedRangeTombstoneList*> range_fragments_{nullptr};
 };
 
 // VersionSet is externally synchronized: it is owned by DBImpl and every

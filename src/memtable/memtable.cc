@@ -122,7 +122,7 @@ void MemTable::AddRange(SequenceNumber s, const Slice& begin,
   }
   const size_t payload = VarintLength(begin.size()) + begin.size() +
                          VarintLength(end.size()) + end.size() + 8;
-  char* buf = arena_.Allocate(sizeof(RangeDelNode) + payload);
+  char* buf = arena_.AllocateAligned(sizeof(RangeDelNode) + payload);
   RangeDelNode* node = reinterpret_cast<RangeDelNode*>(buf);
   char* p = buf + sizeof(RangeDelNode);
   node->data = p;

@@ -126,6 +126,7 @@ struct PendingRead {
   std::shared_ptr<RandomAccessFile> file;  // pins the handle past Evict
   std::vector<char> scratch;
   ReadRequest req;
+  bool short_read = false;  // set on the completion thread
 };
 
 void OnVlogReadComplete(ReadRequest* req) {
@@ -133,6 +134,11 @@ void OnVlogReadComplete(ReadRequest* req) {
   ReadItem* item = pending->item;
   if (!req->status.ok()) {
     item->status = req->status;
+    return;
+  }
+  if (req->result.size() < item->ptr.size) {
+    // Stale handle (see ReaderCache::Get); the submitter retries it.
+    pending->short_read = true;
     return;
   }
   item->status = FinishRead(*item, req->result, item->value);
@@ -149,6 +155,15 @@ Status ReaderCache::Get(const ValuePointer& ptr, const Slice& expected_key,
   Slice raw;
   s = file->Read(ptr.offset, ptr.size, &raw, scratch.data());
   if (!s.ok()) return s;
+  if (raw.size() < ptr.size) {
+    // The cached handle predates the record: an mmap'd file's length is
+    // fixed when it opens, and the head segment keeps growing. Reopen once.
+    Evict(ptr.segment);
+    s = GetFile(ptr.segment, &file);
+    if (!s.ok()) return s;
+    s = file->Read(ptr.offset, ptr.size, &raw, scratch.data());
+    if (!s.ok()) return s;
+  }
   ReadItem item;
   item.ptr = ptr;
   item.expected_key = expected_key;
@@ -186,6 +201,13 @@ void ReaderCache::MultiGet(ReadItem* items, size_t count) {
   // io: unlocked -- batched pointer dereferences on the MultiGet path
   env_->SubmitReads(reqs.data(), reqs.size(), &cq);
   cq.WaitFor(reqs.size());
+  // Short reads came from a handle opened before the segment grew; retry
+  // each on the synchronous path, which drops the handle and reopens once.
+  for (PendingRead& p : pending) {
+    if (p.short_read) {
+      p.item->status = Get(p.item->ptr, p.item->expected_key, p.item->value);
+    }
+  }
 }
 
 void ReaderCache::Evict(uint64_t segment) {

@@ -4,7 +4,10 @@
 // so the lock-free read paths (DBImpl::Get / MultiGet / DBIter) never touch
 // the DB mutex to resolve a pointer. Every read CRC-validates the record and
 // back-checks the stored user key against the expected one, so a stale or
-// corrupt pointer surfaces as Corruption instead of a wrong value.
+// corrupt pointer surfaces as Corruption instead of a wrong value. A handle
+// may predate records appended to its segment after it opened (an mmap'd
+// file's length is fixed at open); a read that comes back short drops the
+// handle and reopens the segment once before reporting a short read.
 #ifndef ACHERON_VLOG_VLOG_READER_H_
 #define ACHERON_VLOG_VLOG_READER_H_
 
@@ -59,7 +62,8 @@ class ReaderCache {
   // final when this returns.
   void MultiGet(ReadItem* items, size_t count);
 
-  // Drop the cached handle for |segment| (called after GC unlinks it).
+  // Drop the cached handle for |segment| (called after GC unlinks it, and
+  // on a short read through a handle that predates the read record).
   void Evict(uint64_t segment);
 
  private:

@@ -469,6 +469,74 @@ TEST_F(BackgroundConcurrencyTest, GetsRaceCompactRange) {
   }
 }
 
+TEST_F(BackgroundConcurrencyTest, IteratorsRaceRangeDeletesAndCompactions) {
+  // Iterators on a fresh version race to build and publish its shared
+  // range-tombstone fragments while the writer keeps installing new
+  // versions. Each writer round puts one block of keys, then range-deletes
+  // the block's lower half; a reader that saw round r complete before it
+  // created its iterator must find every earlier block exactly at its upper
+  // half -- a deleted key showing up means a lost tombstone.
+  const uint64_t kBlock = 40;
+  const uint64_t kRounds = 150;
+  for (bool background : {false, true}) {
+    TestDB t(background);
+    std::atomic<uint64_t> rounds_done{0};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> blocks_checked{0};
+
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 4; r++) {
+      readers.emplace_back([&, r] {
+        Random rnd(700 + r);
+        while (!done.load(std::memory_order_acquire)) {
+          const uint64_t completed =
+              rounds_done.load(std::memory_order_acquire);
+          std::unique_ptr<Iterator> it(t.db->NewIterator(ReadOptions()));
+          if (completed == 0) continue;
+          for (int probe = 0; probe < 4; probe++) {
+            const uint64_t round = rnd.Uniform(completed);
+            uint64_t expect = round * kBlock + kBlock / 2;
+            for (it->Seek(Key(round * kBlock));
+                 it->Valid() && expect < (round + 1) * kBlock; it->Next()) {
+              if (it->key() != Key(expect) || it->value() != "live") {
+                errors.fetch_add(1);
+                break;
+              }
+              expect++;
+            }
+            if (!it->status().ok() || expect != (round + 1) * kBlock) {
+              errors.fetch_add(1);
+            }
+            blocks_checked.fetch_add(1);
+          }
+        }
+      });
+    }
+
+    for (uint64_t round = 0; round < kRounds; round++) {
+      for (uint64_t j = 0; j < kBlock; j++) {
+        ASSERT_TRUE(
+            t.db->Put(WriteOptions(), Key(round * kBlock + j), "live").ok());
+      }
+      ASSERT_TRUE(t.db->DeleteRange(WriteOptions(), Key(round * kBlock),
+                                    Key(round * kBlock + kBlock / 2))
+                      .ok());
+      rounds_done.store(round + 1, std::memory_order_release);
+      if (round % 30 == 29) t.db->CompactRange(nullptr, nullptr);
+    }
+    ASSERT_TRUE(t.db->WaitForCompactions().ok());
+    done.store(true, std::memory_order_release);
+    for (auto& th : readers) th.join();
+
+    EXPECT_EQ(0u, errors.load()) << "background=" << background;
+    EXPECT_GT(blocks_checked.load(), 0u) << "background=" << background;
+    const InternalStats stats = t.db->GetStats();
+    EXPECT_GT(stats.compaction_count, 0u) << "background=" << background;
+    EXPECT_GT(stats.range_fragment_builds, 0u) << "background=" << background;
+  }
+}
+
 TEST_F(ConcurrencyTest, MultiGetTakesNoMutex) {
   // MultiGet rides the same pinned-ReadState hot path as Get: a batch of
   // lookups on a quiesced DB must not touch the DB mutex at all.

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/env/env.h"
+#include "src/env/fault_env.h"
 #include "src/lsm/db_impl.h"
 #include "src/util/random.h"
 
@@ -466,6 +470,156 @@ TEST_F(DBTest, LargeValues) {
   EXPECT_EQ("s", Get("small"));
   ASSERT_TRUE(Reopen().ok());
   EXPECT_EQ(big, Get("big"));
+}
+
+// ---- Range tombstones on the iterator path ----
+//
+// Each version's table range tombstones are fragmented once, by the first
+// iterator that pins it, and shared by every later iterator on it; the
+// pinned memtables' tombstones are fragmented per iterator.
+
+class DBRangeIterTest : public DBTest {
+ protected:
+  Status DeleteRange(const std::string& b, const std::string& e) {
+    return db_->DeleteRange(WriteOptions(), b, e);
+  }
+
+  static std::string Scan(Iterator* it) {
+    std::string result;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      result += it->key().ToString() + ",";
+    }
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    return result;
+  }
+
+  std::string ScanAt(const Snapshot* snapshot) {
+    ReadOptions ro;
+    ro.snapshot = snapshot;
+    std::unique_ptr<Iterator> it(db_->NewIterator(ro));
+    return Scan(it.get());
+  }
+
+  uint64_t Builds() { return db_->GetStats().range_fragment_builds; }
+};
+
+TEST_F(DBRangeIterTest, IteratorIgnoresLaterDeleteRange) {
+  ASSERT_TRUE(Open().ok());
+  for (const char* k : {"a", "b", "c", "d", "e"}) ASSERT_TRUE(Put(k, k).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  std::unique_ptr<Iterator> before(db_->NewIterator(ReadOptions()));
+  ASSERT_TRUE(DeleteRange("b", "d").ok());
+  // The tombstone is in the memtable, then in a table of a newer version;
+  // neither is visible to the iterator created before it.
+  EXPECT_EQ("a,b,c,d,e,", Scan(before.get()));
+  EXPECT_EQ("a,d,e,", ScanAt(nullptr));
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ("a,b,c,d,e,", Scan(before.get()));
+  EXPECT_EQ("a,d,e,", ScanAt(nullptr));
+}
+
+TEST_F(DBRangeIterTest, OlderSnapshotSharesVersionListButIgnoresNewer) {
+  ASSERT_TRUE(Open().ok());
+  for (const char* k : {"a", "b", "c", "d", "e"}) ASSERT_TRUE(Put(k, k).ok());
+  const Snapshot* old_snap = db_->GetSnapshot();
+  ASSERT_TRUE(DeleteRange("b", "d").ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  const uint64_t builds = Builds();
+  EXPECT_EQ("a,d,e,", ScanAt(nullptr));
+  EXPECT_EQ(builds + 1, Builds());
+  // Same version, so the cached list is reused; snapshot filtering happens
+  // at query time, so the older snapshot still sees b and c.
+  EXPECT_EQ("a,b,c,d,e,", ScanAt(old_snap));
+  EXPECT_EQ("a,d,e,", ScanAt(nullptr));
+  EXPECT_EQ(builds + 1, Builds());
+  db_->ReleaseSnapshot(old_snap);
+}
+
+TEST_F(DBRangeIterTest, CoverageSurvivesFlushAndCompactRange) {
+  ASSERT_TRUE(Open().ok());
+  std::map<std::string, std::string> model;
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%04d", i);
+    return std::string(buf);
+  };
+  auto put = [&](int i, const std::string& v) {
+    ASSERT_TRUE(Put(key(i), v).ok());
+    model[key(i)] = v;
+  };
+  auto delete_range = [&](int b, int e) {
+    ASSERT_TRUE(DeleteRange(key(b), key(e)).ok());
+    model.erase(model.lower_bound(key(b)), model.lower_bound(key(e)));
+  };
+  auto expected = [&]() {
+    std::string result;
+    for (const auto& [k, v] : model) result += k + "->" + v + ",";
+    return result;
+  };
+  for (int i = 0; i < 400; i++) put(i, "v" + std::to_string(i));
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  delete_range(10, 20);
+  EXPECT_EQ(expected(), Contents());  // memtable tombstone
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(expected(), Contents());  // table tombstone, new version
+  put(15, "revived");                 // newer than the tombstone
+  delete_range(100, 150);
+  delete_range(120, 300);             // overlaps the previous one
+  EXPECT_EQ(expected(), Contents());
+  const uint64_t builds = Builds();
+  db_->CompactRange(nullptr, nullptr);
+  EXPECT_EQ(expected(), Contents());
+  EXPECT_GT(Builds(), builds);  // the compacted version built its own list
+  delete_range(0, 5);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(expected(), Contents());
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_EQ(expected(), Contents());
+}
+
+TEST_F(DBRangeIterTest, FailedTableOpenIsNotCached) {
+  auto fault_env = std::make_unique<FaultInjectionEnv>(env_.get());
+  options_.env = fault_env.get();
+  ASSERT_TRUE(Open().ok());
+  for (const char* k : {"a", "b", "c", "d", "e", "f"}) {
+    ASSERT_TRUE(Put(k, k).ok());
+  }
+  ASSERT_TRUE(DeleteRange("a", "b").ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(DeleteRange("d", "f").ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_EQ(2, NumFilesAtLevel(0));
+  // A fresh table cache, then open only the older table (a point lookup
+  // inside its tombstone's span), so a partial list would be buildable.
+  ASSERT_TRUE(Reopen().ok());
+  EXPECT_EQ("NOT_FOUND", Get("a"));
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  std::string newest;
+  for (const std::string& name : children) {
+    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".sst") == 0 &&
+        name > newest) {
+      newest = name;
+    }
+  }
+  ASSERT_FALSE(newest.empty());
+
+  const uint64_t builds = Builds();
+  fault_env->SetReadFaultSubstring(newest);
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
+    it->SeekToFirst();
+    EXPECT_FALSE(it->Valid());
+    EXPECT_FALSE(it->status().ok());
+  }
+  EXPECT_EQ(builds, Builds());
+  fault_env->SetReadFaultSubstring("");
+  // Same version: the retry builds the full list, so the newer table's
+  // tombstone still hides d and e.
+  EXPECT_EQ("b,c,f,", ScanAt(nullptr));
+  EXPECT_EQ(builds + 1, Builds());
+  delete db_;
+  db_ = nullptr;
 }
 
 // ---- Tiering ----

@@ -3,6 +3,9 @@
 // read out of bounds -- they either round-trip or fail cleanly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+
 #include "src/core/range_tombstone.h"
 #include "src/lsm/version_edit.h"
 #include "src/lsm/write_batch.h"
@@ -224,6 +227,102 @@ TEST_P(DecodeFuzz, RangeTombstoneFragmenterMatchesBruteForce) {
       EXPECT_EQ(expect, frags.MaxCoveringSeq(probe, snapshot))
           << "trial " << trial << " probe " << probe << " snapshot "
           << snapshot;
+    }
+  }
+}
+
+// The fragmenter before its sweep rewrite: every boundary pair tested
+// against every tombstone, O(bounds x n). Kept as the reference the sweep
+// must match exactly, since compaction drop decisions read the fragments.
+namespace {
+std::vector<FragmentedRangeTombstoneList::Fragment> QuadraticFragments(
+    const Comparator* ucmp, const std::vector<RangeTombstone>& tombstones) {
+  std::vector<RangeTombstone> raw;
+  for (const RangeTombstone& t : tombstones) {
+    if (ucmp->Compare(t.begin, t.end) < 0) raw.push_back(t);
+  }
+  std::vector<Slice> bounds;
+  for (const RangeTombstone& t : raw) {
+    bounds.push_back(t.begin);
+    bounds.push_back(t.end);
+  }
+  std::sort(bounds.begin(), bounds.end(),
+            [ucmp](const Slice& a, const Slice& b) {
+              return ucmp->Compare(a, b) < 0;
+            });
+  bounds.erase(std::unique(bounds.begin(), bounds.end(),
+                           [ucmp](const Slice& a, const Slice& b) {
+                             return ucmp->Compare(a, b) == 0;
+                           }),
+               bounds.end());
+  std::vector<FragmentedRangeTombstoneList::Fragment> out;
+  for (size_t i = 0; i + 1 < bounds.size(); i++) {
+    FragmentedRangeTombstoneList::Fragment frag;
+    for (const RangeTombstone& t : raw) {
+      if (ucmp->Compare(t.begin, bounds[i]) <= 0 &&
+          ucmp->Compare(bounds[i + 1], t.end) <= 0) {
+        frag.seqs.push_back(t.seq);
+      }
+    }
+    if (frag.seqs.empty()) continue;
+    std::sort(frag.seqs.begin(), frag.seqs.end());
+    frag.begin = bounds[i].ToString();
+    frag.end = bounds[i + 1].ToString();
+    if (!out.empty() && out.back().end == frag.begin &&
+        out.back().seqs == frag.seqs) {
+      out.back().end = frag.end;
+    } else {
+      out.push_back(std::move(frag));
+    }
+  }
+  return out;
+}
+}  // namespace
+
+TEST_P(DecodeFuzz, RangeTombstoneSweepMatchesQuadraticReference) {
+  // 16-byte keys drawn from a small pool, so boundaries are shared and
+  // ranges nest and abut; seqs from a narrow range, so they repeat; and
+  // some ranges are empty or inverted, which both fragmenters drop.
+  Random rnd(GetParam() + 7000);
+  const Comparator* ucmp = BytewiseComparator();
+  auto key_at = [](uint32_t i) {
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "key%013u", i);
+    return std::string(buf, 16);
+  };
+  for (int trial = 0; trial < 30; trial++) {
+    const uint32_t pool = 2 + rnd.Uniform(trial % 2 == 0 ? 64 : 4000);
+    const int n = 1 + rnd.Uniform(1000);
+    std::vector<RangeTombstone> tombstones;
+    uint32_t prev_end = rnd.Uniform(pool);
+    for (int i = 0; i < n; i++) {
+      uint32_t b = rnd.Uniform(pool);
+      uint32_t e = rnd.Uniform(pool);
+      switch (rnd.Uniform(5)) {
+        case 0:  // abut the previous tombstone
+          b = prev_end;
+          e = b + 1 + rnd.Uniform(8);
+          break;
+        case 1:  // empty or inverted
+          e = b - (b > 0 ? rnd.Uniform(b + 1) : 0);
+          break;
+        default:  // arbitrary, normalised to begin < end
+          if (b > e) std::swap(b, e);
+          if (b == e) e++;
+          break;
+      }
+      prev_end = e;
+      tombstones.emplace_back(key_at(b), key_at(e), 1 + rnd.Uniform(50));
+    }
+    FragmentedRangeTombstoneList sweep;
+    sweep.Build(ucmp, tombstones);
+    const auto expect = QuadraticFragments(ucmp, tombstones);
+    ASSERT_EQ(expect.size(), sweep.fragments().size()) << "trial " << trial;
+    for (size_t i = 0; i < expect.size(); i++) {
+      const auto& got = sweep.fragments()[i];
+      ASSERT_EQ(expect[i].begin, got.begin) << "trial " << trial << " #" << i;
+      ASSERT_EQ(expect[i].end, got.end) << "trial " << trial << " #" << i;
+      ASSERT_EQ(expect[i].seqs, got.seqs) << "trial " << trial << " #" << i;
     }
   }
 }

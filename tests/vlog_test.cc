@@ -2,6 +2,9 @@
 // pointers, and FADE-driven GC reclaims value bytes of persisted deletes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -368,6 +371,70 @@ TEST_F(VlogDBTest, ObsoleteSegmentsAreCollectedNotLeaked) {
   // Every all-garbage segment died; only the head and (possibly) a couple
   // of relocation/live segments remain.
   EXPECT_LT(CountVlogFiles(), before);
+}
+
+// PosixEnv mmaps segments with a length fixed at open, while the head
+// segment keeps growing; a cached handle must not turn newer records into
+// short reads on either the synchronous or the batched (SubmitReads) path.
+TEST(VlogPosixTest, ReadsSeeRecordsAppendedAfterHandleOpened) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("acheron_vlog_posix_test_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::unique_ptr<Env> env(NewPosixEnv(/*unbuffered_writes=*/false));
+  Options options;
+  options.env = env.get();
+  options.create_if_missing = true;
+  options.write_buffer_size = 8 << 10;
+  options.value_separation_threshold = 256;
+  options.delete_persistence_threshold = 2000;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, dir.string(), &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  auto value = [](int i, char c) { return std::string(1024 + i, c); };
+  std::string v;
+  // Each Get maps the head segment, then the next Put grows it.
+  for (int i = 0; i < 8; i++) {
+    const std::string key = "k" + std::to_string(i);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, value(i, 'a')).ok());
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &v).ok()) << key;
+    EXPECT_EQ(value(i, 'a'), v);
+  }
+  // A newer version of an already-read key lands past the mapped length.
+  ASSERT_TRUE(db->Put(WriteOptions(), "k0", value(0, 'b')).ok());
+  ASSERT_TRUE(db->Get(ReadOptions(), "k0", &v).ok());
+  EXPECT_EQ(value(0, 'b'), v);
+  ASSERT_TRUE(db->Put(WriteOptions(), "k1", value(1, 'b')).ok());
+  const std::vector<Slice> keys = {"k1", "k2"};
+  std::vector<std::string> values;
+  std::vector<Status> statuses = db->MultiGet(ReadOptions(), keys, &values);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  ASSERT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  EXPECT_EQ(value(1, 'b'), values[0]);
+  EXPECT_EQ(value(2, 'a'), values[1]);
+
+  // Delete most values and drive the clock past D_th so GC relocates the
+  // survivors into newer segments, then read everything back.
+  for (int i = 2; i < 8; i++) {
+    ASSERT_TRUE(db->Delete(WriteOptions(), "k" + std::to_string(i)).ok());
+  }
+  for (int i = 0; i < 6000; i++) {
+    ASSERT_TRUE(
+        db->Put(WriteOptions(), "pad" + std::to_string(i % 128), "x").ok());
+    if (i % 1000 == 0) {
+      ASSERT_TRUE(db->Get(ReadOptions(), "k0", &v).ok());
+      EXPECT_EQ(value(0, 'b'), v);
+    }
+  }
+  EXPECT_GT(db->GetStats().vlog_gc_runs, 0u);
+  ASSERT_TRUE(db->Get(ReadOptions(), "k0", &v).ok());
+  EXPECT_EQ(value(0, 'b'), v);
+  ASSERT_TRUE(db->Get(ReadOptions(), "k1", &v).ok());
+  EXPECT_EQ(value(1, 'b'), v);
+  EXPECT_TRUE(db->Get(ReadOptions(), "k5", &v).IsNotFound());
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace acheron

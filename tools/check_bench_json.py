@@ -55,10 +55,12 @@ SCHEMA = {
     },
     "compactions": int,
     "write_amplification": (int, float),
+    # Per-version range-tombstone fragment lists built for iterators.
+    "range_fragment_builds": int,
 }
 
 KNOWN_BENCHES = {"fillrandom", "readrandom", "readwhilewriting", "multiget",
-                 "range_delete", "kv_sep"}
+                 "range_delete", "kv_sep", "range_scan"}
 
 # Bench-specific top-level fields (WriteJsonResult's |extra| fragment).
 # Records for these benches must carry exactly SCHEMA + their entry here.
@@ -73,6 +75,20 @@ EXTRA_KEYS = {
         "range_deletes_written": int,
         "range_deletes_persisted": int,
         "range_persistence_latency_max": (int, float),
+    },
+    # exp_range_scan (E6) sweep over live range tombstones on a quiescent
+    # tree. The headline record is the largest population; fragment_builds
+    # counts its scan phase's builds (exactly 1: one shared list per
+    # version), and the p50s map each population to its scan p50.
+    "range_scan": {
+        "range_tombstones": int,
+        "fragment_builds": int,
+        "scan_p50_us_by_range_tombstones": {
+            "0": (int, float),
+            "100": (int, float),
+            "400": (int, float),
+            "1600": (int, float),
+        },
     },
     # exp_kv_sep (E15): key-value separation. The headline record is the
     # 4 KiB separation-on run; baseline/reduction fields compare against
