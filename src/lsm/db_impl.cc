@@ -10,43 +10,41 @@
 #include "src/lsm/filename.h"
 #include "src/lsm/merger.h"
 #include "src/lsm/table_cache.h"
+#include "src/lsm/table_output.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
-#include "src/table/table_builder.h"
 #include "src/util/bloom.h"
 #include "src/util/clock.h"
 #include "src/wal/log_reader.h"
 
 namespace acheron {
 
+namespace {
+// The oldest |stamp| (a FileMetaData wall-clock field) among |c|'s inputs.
+// Entries keep their seqnos through a compaction but carry no wall time, so
+// every output inherits its inputs' oldest stamps.
+uint64_t EarliestInputStamp(const Compaction* c,
+                            uint64_t FileMetaData::*stamp) {
+  uint64_t earliest = UINT64_MAX;
+  for (int which = 0; which < 2; which++) {
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      earliest = std::min(earliest, c->input(which, i)->*stamp);
+    }
+  }
+  return earliest;
+}
+}  // namespace
+
 // Per-compaction working state.
 struct DBImpl::CompactionState {
-  // Files produced by compaction
-  struct Output {
-    uint64_t number;
-    uint64_t file_size;
-    InternalKey smallest, largest;
-    uint64_t num_entries = 0;
-    uint64_t num_tombstones = 0;
-    SequenceNumber earliest_tombstone_seq = kMaxSequenceNumber;
-    uint64_t earliest_tombstone_wall_micros = UINT64_MAX;
-    uint64_t num_range_tombstones = 0;
-    SequenceNumber earliest_range_tombstone_seq = kMaxSequenceNumber;
-    uint64_t earliest_range_tombstone_wall_micros = UINT64_MAX;
-    std::string range_del_begin;
-    std::string range_del_end;
-    std::string min_secondary_key;
-    std::string max_secondary_key;
-    // [min,max] vLog segment span of kTypeValuePointer entries (0 = none);
-    // feeds FileMetaData so segment liveness tracking survives compaction.
-    uint64_t min_vlog_segment = 0;
-    uint64_t max_vlog_segment = 0;
-  };
-
-  Output* current_output() { return &outputs[outputs.size() - 1]; }
-
-  explicit CompactionState(Compaction* c)
-      : compaction(c), smallest_snapshot(0), total_bytes(0) {}
+  CompactionState(Compaction* c, const DBImpl& db)
+      : compaction(c),
+        output(db.options_, db.dbname_,
+               db.internal_comparator_.user_comparator(),
+               EarliestInputStamp(
+                   c, &FileMetaData::earliest_tombstone_wall_micros),
+               EarliestInputStamp(
+                   c, &FileMetaData::earliest_range_tombstone_wall_micros)) {}
 
   Compaction* const compaction;
 
@@ -54,15 +52,12 @@ struct DBImpl::CompactionState {
   // never have to service a snapshot below smallest_snapshot. Therefore if
   // we have seen a sequence number S <= smallest_snapshot, we can drop all
   // entries for the same key with sequence numbers < S.
-  SequenceNumber smallest_snapshot;
+  SequenceNumber smallest_snapshot = 0;
 
-  std::vector<Output> outputs;
-
-  // State kept for output being generated
-  std::unique_ptr<WritableFile> outfile;
-  std::unique_ptr<TableBuilder> builder;
-
-  uint64_t total_bytes;
+  // Files produced by the compaction. An entry is pushed, holding just its
+  // number, when |output| opens it, and completed when |output| finishes it.
+  std::vector<FileMetaData> outputs;
+  TableOutput output;
 };
 
 // One queued write. The owning thread sleeps on |cv| until a group leader
@@ -798,158 +793,27 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool, bool* save_manifest,
 }
 
 Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit) {
-  const uint64_t start_micros = SystemClock::NowMicros();
   FileMetaData meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
-  Iterator* iter = mem->NewIterator();
-  const std::string fname = TableFileName(dbname_, meta.number);
 
-  Status s;
   // Build the table with the mutex released. |mem| is frozen -- it is
   // either imm_ (no writer touches it again) or a recovery-time memtable
   // before any concurrency exists -- and the file number is protected from
-  // GC by pending_outputs_.
+  // GC by pending_outputs_. L0 files may overlap, so a range-only memtable's
+  // span-derived bounds are safe here.
   mutex_.Unlock();
-  {
-    std::unique_ptr<WritableFile> file;
-    s = env_->NewWritableFile(fname, &file);  // io: unlocked
-    if (s.ok()) {
-      TableBuilder builder(options_, file.get());
-      // |mem| is frozen, so the push-front range-tombstone list is stable.
-      std::vector<RangeTombstone> range_dels;
-      mem->CollectRangeTombstones(&range_dels);
-      iter->SeekToFirst();
-      const bool has_data = iter->Valid();
-      if (has_data || !range_dels.empty()) {
-        if (has_data) {
-          meta.smallest.DecodeFrom(iter->key());
-          for (; iter->Valid(); iter->Next()) {
-            Slice key = iter->key();
-            meta.largest.DecodeFrom(key);
-            const Slice user_key = ExtractUserKey(key);
-            builder.Add(key, iter->value(), user_key);
-            ParsedInternalKey parsed;
-            if (ParseInternalKey(key, &parsed)) {
-              if (parsed.type == kTypeValuePointer) {
-                // Track the [min,max] vLog segment span: RemoveObsoleteFiles
-                // keeps every segment inside a live file's span alive.
-                vlog::FoldVlogSpan(iter->value(), &meta.min_vlog_segment,
-                                   &meta.max_vlog_segment);
-              } else if (parsed.type == kTypeValue &&
-                  options_.secondary_key_extractor) {
-                std::string sec =
-                    options_.secondary_key_extractor(user_key, iter->value());
-                if (!sec.empty()) {
-                  if (meta.min_secondary_key.empty() ||
-                      sec < meta.min_secondary_key) {
-                    meta.min_secondary_key = sec;
-                  }
-                  if (meta.max_secondary_key.empty() ||
-                      sec > meta.max_secondary_key) {
-                    meta.max_secondary_key = sec;
-                  }
-                }
-              }
-            }
-          }
-        }
-        if (!range_dels.empty()) {
-          const Comparator* ucmp = internal_comparator_.user_comparator();
-          std::string span_begin, span_end;
-          SequenceNumber max_seq = 0;
-          for (const RangeTombstone& t : range_dels) {
-            builder.AddRangeTombstone(t.begin, t.end, t.seq, ucmp);
-            if (span_begin.empty() ||
-                ucmp->Compare(t.begin, span_begin) < 0) {
-              span_begin = t.begin;
-            }
-            if (span_end.empty() || ucmp->Compare(t.end, span_end) > 0) {
-              span_end = t.end;
-            }
-            max_seq = std::max(max_seq, t.seq);
-          }
-          meta.num_range_tombstones = mem->num_range_tombstones();
-          meta.earliest_range_tombstone_seq =
-              mem->earliest_range_tombstone_seq();
-          meta.earliest_range_tombstone_wall_micros =
-              mem->earliest_range_tombstone_wall_micros();
-          meta.range_del_begin = span_begin;
-          meta.range_del_end = span_end;
-          if (!has_data) {
-            // A range-only memtable must still become an L0 file (the
-            // tombstones have to reach the tree to age and drop). L0 files
-            // may overlap freely, so span-derived bounds are safe here.
-            meta.smallest =
-                InternalKey(span_begin, max_seq, kValueTypeForSeek);
-            meta.largest = InternalKey(span_end, 0, kTypeDeletion);
-          }
-        }
-        meta.num_entries = builder.NumEntries();
-        meta.num_tombstones = mem->num_tombstones();
-        meta.earliest_tombstone_seq = mem->earliest_tombstone_seq();
-        meta.earliest_tombstone_wall_micros =
-            mem->earliest_tombstone_wall_micros();
-        // Mirror the metadata into the table's own properties block.
-        // (AddRangeTombstone already maintained the range span/count/seq
-        // fields; only the wall stamp needs the memtable's clock.)
-        TableProperties* props = builder.mutable_properties();
-        props->num_tombstones = meta.num_tombstones;
-        props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-        props->earliest_tombstone_wall_micros =
-            meta.earliest_tombstone_wall_micros;
-        props->earliest_range_tombstone_wall_micros =
-            meta.earliest_range_tombstone_wall_micros;
-        props->min_secondary_key = meta.min_secondary_key;
-        props->max_secondary_key = meta.max_secondary_key;
-        bool close_attempted = false;
-        s = builder.Finish();
-        if (s.ok()) {
-          meta.file_size = builder.FileSize();
-          // Always sync, independent of Options::sync_writes: the manifest
-          // record that makes this table live is synced at install, so the
-          // table data must be durable first or a crash could leave a live
-          // version pointing at a torn file.
-          s = file->Sync();
-          if (s.ok()) {
-            s = file->Close();
-            close_attempted = true;
-          }
-        }
-        if (!close_attempted) {
-          // The output cannot be installed (build or sync failed); it is
-          // removed below. Close deliberately -- the dropped status is a
-          // conscious choice here, not a silent one in the destructor.
-          (void)file->Close();  // io: unlocked -- abandoned flush output
-        }
-      } else {
-        builder.Abandon();
-        (void)file->Close();  // io: unlocked -- abandoned empty output
-      }
-    }
-  }
-
-  if (!iter->status().ok()) {
-    s = iter->status();
-  }
-  delete iter;
-
-  // Note that if file_size is zero, the file has been deleted and should
-  // not be added to the manifest.
-  const bool keep = s.ok() && meta.file_size > 0;
-  if (!keep) {
-    (void)env_->RemoveFile(fname);  // io: unlocked
-  }
+  Status s = BuildTable(options_, dbname_,
+                        internal_comparator_.user_comparator(), mem, &meta);
   mutex_.Lock();
   pending_outputs_.erase(meta.number);
 
-  if (keep) {
-    meta.run_id = meta.number;
+  // An empty memtable leaves no file (file_size == 0) and nothing to add.
+  if (s.ok() && meta.file_size > 0) {
     edit->AddFile(0, meta);
     stats_.flush_count++;
     stats_.flush_bytes_written += meta.file_size;
   }
-  (void)start_micros;
   return s;
 }
 
@@ -1214,12 +1078,41 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
     }
   }
 
+  // Each target is rewritten with every pointer into the victim redirected
+  // at its relocated copy; all other entries are carried verbatim,
+  // sequences included, so snapshot reads through the replacement are
+  // unchanged.
   uint64_t relocated_values = 0;
   uint64_t relocated_bytes = 0;
+  std::string relocated_value;
+  std::string pointer_scratch;
   for (const Target& t : targets) {
     if (!s.ok()) break;
-    s = RewriteFileForVlogGc(t.f, t.level, segment, reloc.get(), &edit,
-                             &relocated_values, &relocated_bytes);
+    auto relocate = [&](const ParsedInternalKey& key, Slice* value,
+                        bool*) -> Status {
+      if (key.type != kTypeValuePointer) return Status::OK();
+      vlog::ValuePointer ptr;
+      if (!vlog::DecodeValuePointerStrict(*value, &ptr)) {
+        return Status::Corruption("bad value pointer in table",
+                                  TableFileName(dbname_, t.f->number));
+      }
+      if (ptr.segment != segment) return Status::OK();
+      // Keyed back-check: the record must still carry this user key, or
+      // the pointer and segment disagree and relocating would graft the
+      // wrong bytes under the key. ReaderCache::Get enforces it.
+      relocated_value.clear();
+      Status rs = vlog_readers_.Get(ptr, key.user_key, &relocated_value);
+      vlog::ValuePointer moved;
+      if (rs.ok()) rs = reloc->Add(key.user_key, relocated_value, &moved);
+      if (!rs.ok()) return rs;
+      pointer_scratch.clear();
+      vlog::EncodeValuePointer(&pointer_scratch, moved);
+      *value = Slice(pointer_scratch);
+      relocated_values++;
+      relocated_bytes += moved.size;
+      return Status::OK();
+    };
+    s = RewriteTable(t.f, t.level, relocate, &edit);
   }
 
   if (s.ok() && reloc != nullptr) {
@@ -1287,14 +1180,8 @@ Status DBImpl::CollectVlogSegment(uint64_t segment) {
   return s;
 }
 
-Status DBImpl::RewriteFileForVlogGc(const FileMetaData* f, int level,
-                                    uint64_t victim, vlog::Writer* reloc,
-                                    VersionEdit* edit,
-                                    uint64_t* relocated_values,
-                                    uint64_t* relocated_bytes) {
-  // Rewrites |f|, relocating every pointer into |victim| to |reloc| (all
-  // other entries are carried verbatim, sequences included, so snapshot
-  // reads through the replacement are unchanged).
+Status DBImpl::RewriteTable(const FileMetaData* f, int level,
+                            const EntryRewrite& rewrite, VersionEdit* edit) {
   const uint64_t new_number = versions_->NewFileNumber();
   pending_outputs_.insert(new_number);
 
@@ -1305,143 +1192,53 @@ Status DBImpl::RewriteFileForVlogGc(const FileMetaData* f, int level,
   ropts.fill_cache = false;
   std::unique_ptr<Iterator> it(
       table_cache_->NewIterator(ropts, f->number, f->file_size));
+  // Range tombstones are carried into the replacement verbatim: losing them
+  // would resurrect every key they cover.
   std::vector<RangeTombstone> range_dels;
   Status s;
   if (f->has_range_tombstones()) {
     s = table_cache_->GetRangeTombstones(f->number, f->file_size,
                                          &range_dels);
   }
-  std::unique_ptr<WritableFile> file;
-  if (s.ok()) {
-    s = env_->NewWritableFile(TableFileName(dbname_, new_number),
-                              &file);  // io: unlocked
-  }
-  if (!s.ok()) {
-    mutex_.Lock();
-    pending_outputs_.erase(new_number);
-    return s;
-  }
-
-  FileMetaData meta;
-  meta.number = new_number;
-  TableBuilder builder(options_, file.get());
-  std::string relocated_value;
-  std::string pointer_scratch;
+  TableOutput out(options_, dbname_, internal_comparator_.user_comparator(),
+                  f->earliest_tombstone_wall_micros,
+                  f->earliest_range_tombstone_wall_micros);
+  if (s.ok()) s = out.Open(new_number);
   for (it->SeekToFirst(); s.ok() && it->Valid(); it->Next()) {
-    Slice key = it->key();
     Slice value = it->value();
     ParsedInternalKey parsed;
-    const bool is_pointer =
-        ParseInternalKey(key, &parsed) && parsed.type == kTypeValuePointer;
-    vlog::ValuePointer ptr;
-    if (is_pointer) {
-      if (!vlog::DecodeValuePointerStrict(value, &ptr)) {
-        s = Status::Corruption("bad value pointer in table",
-                               TableFileName(dbname_, f->number));
-        break;
-      }
-      if (ptr.segment == victim) {
-        // Keyed back-check: the record must still carry this user key, or
-        // the pointer and segment disagree and relocating would graft the
-        // wrong bytes under the key. ReaderCache::Get enforces it.
-        relocated_value.clear();
-        s = vlog_readers_.Get(ptr, parsed.user_key, &relocated_value);
-        if (!s.ok()) break;
-        vlog::ValuePointer moved;
-        s = reloc->Add(parsed.user_key, relocated_value, &moved);
-        if (!s.ok()) break;
-        pointer_scratch.clear();
-        vlog::EncodeValuePointer(&pointer_scratch, moved);
-        value = Slice(pointer_scratch);
-        ptr = moved;
-        (*relocated_values)++;
-        *relocated_bytes += moved.size;
-      }
+    if (!ParseInternalKey(it->key(), &parsed)) {
+      out.Add(it->key(), value, nullptr);
+      continue;
     }
-    if (builder.NumEntries() == 0) meta.smallest.DecodeFrom(key);
-    meta.largest.DecodeFrom(key);
-    builder.Add(key, value, ExtractUserKey(key));
-    if (ParseInternalKey(key, &parsed)) {
-      if (parsed.type == kTypeDeletion) {
-        meta.num_tombstones++;
-        meta.earliest_tombstone_seq =
-            std::min(meta.earliest_tombstone_seq, parsed.sequence);
-        meta.earliest_tombstone_wall_micros =
-            std::min(meta.earliest_tombstone_wall_micros,
-                     f->earliest_tombstone_wall_micros);
-      } else if (is_pointer) {
-        if (meta.min_vlog_segment == 0 ||
-            ptr.segment < meta.min_vlog_segment) {
-          meta.min_vlog_segment = ptr.segment;
-        }
-        meta.max_vlog_segment = std::max(meta.max_vlog_segment, ptr.segment);
-      } else if (parsed.type == kTypeValue &&
-                 options_.secondary_key_extractor) {
-        std::string sec =
-            options_.secondary_key_extractor(parsed.user_key, it->value());
-        if (!sec.empty()) {
-          if (meta.min_secondary_key.empty() ||
-              sec < meta.min_secondary_key) {
-            meta.min_secondary_key = sec;
-          }
-          if (meta.max_secondary_key.empty() ||
-              sec > meta.max_secondary_key) {
-            meta.max_secondary_key = sec;
-          }
-        }
-      }
-    }
+    bool keep = true;
+    s = rewrite(parsed, &value, &keep);
+    if (s.ok() && keep) out.Add(it->key(), value, &parsed);
   }
-  if (s.ok() && !it->status().ok()) {
-    s = it->status();
-  }
-
-  if (s.ok() && !range_dels.empty()) {
-    // Carried verbatim, same as the secondary purge rewrite: losing them
-    // would resurrect every key they cover.
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                internal_comparator_.user_comparator());
-      meta.num_range_tombstones++;
-      meta.earliest_range_tombstone_seq =
-          std::min(meta.earliest_range_tombstone_seq, t.seq);
-    }
-    meta.earliest_range_tombstone_wall_micros =
-        f->earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = f->range_del_begin;
-    meta.range_del_end = f->range_del_end;
-  }
-
+  if (s.ok()) s = it->status();
+  FileMetaData meta;
   if (s.ok()) {
-    meta.num_entries = builder.NumEntries();
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = meta.num_tombstones;
-    props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-    if (meta.num_range_tombstones > 0) {
-      props->earliest_range_tombstone_wall_micros =
-          meta.earliest_range_tombstone_wall_micros;
-    }
-    props->min_secondary_key = meta.min_secondary_key;
-    props->max_secondary_key = meta.max_secondary_key;
-    s = builder.Finish();
-    if (s.ok()) {
-      meta.file_size = builder.FileSize();
-      meta.run_id = f->run_id;  // preserve recency ordering within the level
-      // Durable before the (synced) manifest record references it.
-      s = file->Sync();
-      if (s.ok()) s = file->Close();
-    }
-  } else {
-    builder.Abandon();
-    (void)file->Close();  // io: unlocked -- abandoned GC rewrite output
+    for (const RangeTombstone& t : range_dels) out.AddRangeTombstone(t);
+    s = out.Finish(&meta);
   }
+  if (out.is_open()) out.Abandon();
 
   mutex_.Lock();
+  pending_outputs_.erase(new_number);
   if (s.ok()) {
     edit->RemoveFile(level, f->number);
-    edit->AddFile(level, meta);
+    // An emptied file leaves no replacement (file_size == 0).
+    if (meta.file_size > 0) {
+      if (meta.num_entries == 0) {
+        // Only range tombstones remain: keep the old file's bounds (the
+        // replacement fills the same slot in the level).
+        meta.smallest = f->smallest;
+        meta.largest = f->largest;
+      }
+      meta.run_id = f->run_id;  // preserve recency ordering within the level
+      edit->AddFile(level, meta);
+    }
   }
-  pending_outputs_.erase(new_number);
   return s;
 }
 
@@ -1928,7 +1725,7 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
       }
       stats_.trivial_move_count++;
     } else {
-      CompactionState* compact = new CompactionState(c.get());
+      CompactionState* compact = new CompactionState(c.get(), *this);
       s = DoCompactionWork(compact, horizon);
       if (!s.ok()) {
         RecordBackgroundError(s, ErrorSubsystem::kCompaction);
@@ -1943,125 +1740,32 @@ Status DBImpl::MaybeCompact(SequenceNumber horizon) {
 }
 
 Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
-  assert(compact != nullptr);
-  assert(compact->builder == nullptr);
-  uint64_t file_number;
+  uint64_t number;
   {
     // Called from the unlocked merge loop: take the mutex only for the
     // number allocation and GC protection.
     MutexLock l(&mutex_);
-    file_number = versions_->NewFileNumber();
-    pending_outputs_.insert(file_number);
-    CompactionState::Output out;
-    out.number = file_number;
-    out.smallest.Clear();
-    out.largest.Clear();
-    compact->outputs.push_back(out);
+    number = versions_->NewFileNumber();
+    pending_outputs_.insert(number);
+    compact->outputs.emplace_back();
+    compact->outputs.back().number = number;
   }
-
-  std::string fname = TableFileName(dbname_, file_number);
-  Status s = env_->NewWritableFile(fname, &compact->outfile);  // io: unlocked
-  if (s.ok()) {
-    compact->builder = std::make_unique<TableBuilder>(options_,
-                                                      compact->outfile.get());
-  }
-  return s;
+  return compact->output.Open(number);
 }
 
 Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
                                           Iterator* input) {
-  assert(compact != nullptr);
-  assert(compact->outfile != nullptr);
-  assert(compact->builder != nullptr);
-
-  const uint64_t output_number = compact->current_output()->number;
-  assert(output_number != 0);
-
-  // Check for iterator errors
+  // An input error leaves the output open; DoCompactionWork abandons it.
   Status s = input->status();
-  const uint64_t current_entries = compact->builder->NumEntries();
-
-  // Mirror tombstone metadata into the table's properties block.
-  CompactionState::Output* out = compact->current_output();
-  TableProperties* props = compact->builder->mutable_properties();
-  props->num_tombstones = out->num_tombstones;
-  props->earliest_tombstone_time = out->earliest_tombstone_seq;
-  props->earliest_tombstone_wall_micros = out->earliest_tombstone_wall_micros;
-  // AddRangeTombstone maintains the count/seq/span properties itself; only
-  // the inherited wall stamp needs mirroring.
-  if (out->num_range_tombstones > 0) {
-    props->earliest_range_tombstone_wall_micros =
-        out->earliest_range_tombstone_wall_micros;
-  }
-  props->min_secondary_key = out->min_secondary_key;
-  props->max_secondary_key = out->max_secondary_key;
-
-  if (s.ok()) {
-    s = compact->builder->Finish();
-  } else {
-    compact->builder->Abandon();
-  }
-  const uint64_t current_bytes = compact->builder->FileSize();
-  out->file_size = current_bytes;
-  out->num_entries = current_entries;
-  compact->total_bytes += current_bytes;
-  compact->builder.reset();
-
-  // Finish and check for file errors. Always sync: like flushed L0 tables,
-  // compaction outputs become live via a synced manifest record and must
-  // not be torn behind it after a crash.
-  if (s.ok()) {
-    s = compact->outfile->Sync();
-  }
-  if (s.ok()) {
-    s = compact->outfile->Close();
-  } else {
-    // The output is already doomed (iterator, build, or sync error) and
-    // will be removed; close deliberately -- the dropped status is a
-    // conscious choice, not a silent one in the destructor.
-    (void)compact->outfile->Close();  // io: unlocked -- abandoned output
-  }
-  compact->outfile.reset();
-
-  if (s.ok() && current_entries == 0 && out->num_range_tombstones == 0) {
-    // An empty output: delete it and forget it. (A file holding only range
-    // tombstones is NOT empty -- dropping it would resurrect covered keys.)
-    (void)env_->RemoveFile(
-        TableFileName(dbname_, output_number));  // io: unlocked
-    MutexLock l(&mutex_);
-    pending_outputs_.erase(output_number);
-    compact->outputs.pop_back();
-  }
+  if (s.ok()) s = compact->output.Finish(&compact->outputs.back());
   return s;
 }
 
 Status DBImpl::InstallCompactionResults(CompactionState* compact) {
-  // Add compaction outputs
   compact->compaction->AddInputDeletions(compact->compaction->edit());
-  const int output_level = compact->compaction->output_level();
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
-    FileMetaData meta;
-    meta.number = out.number;
-    meta.file_size = out.file_size;
-    meta.smallest = out.smallest;
-    meta.largest = out.largest;
-    meta.num_entries = out.num_entries;
-    meta.num_tombstones = out.num_tombstones;
-    meta.earliest_tombstone_seq = out.earliest_tombstone_seq;
-    meta.earliest_tombstone_wall_micros = out.earliest_tombstone_wall_micros;
-    meta.num_range_tombstones = out.num_range_tombstones;
-    meta.earliest_range_tombstone_seq = out.earliest_range_tombstone_seq;
-    meta.earliest_range_tombstone_wall_micros =
-        out.earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = out.range_del_begin;
-    meta.range_del_end = out.range_del_end;
-    meta.min_secondary_key = out.min_secondary_key;
-    meta.max_secondary_key = out.max_secondary_key;
-    meta.min_vlog_segment = out.min_vlog_segment;
-    meta.max_vlog_segment = out.max_vlog_segment;
-    meta.run_id = out.number;
-    compact->compaction->edit()->AddFile(output_level, meta);
+  for (const FileMetaData& out : compact->outputs) {
+    compact->compaction->edit()->AddFile(compact->compaction->output_level(),
+                                         out);
   }
   Status s = versions_->LogAndApply(compact->compaction->edit(), &mutex_);
   if (s.ok()) {
@@ -2165,8 +1869,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
                                 SequenceNumber horizon) {
   assert(compaction_active_);
   assert(versions_->NumLevelFiles(compact->compaction->level()) > 0);
-  assert(compact->builder == nullptr);
-  assert(compact->outfile == nullptr);
+  assert(!compact->output.is_open());
 
   // Both the drop horizon and the monitor's "persisted at" clock use the
   // round's captured horizon so a background round records exactly what a
@@ -2245,7 +1948,8 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     }
     Slice key = input->key();
     bool drop = false;
-    if (!ParseInternalKey(key, &ikey)) {
+    const bool parsed = ParseInternalKey(key, &ikey);
+    if (!parsed) {
       // Do not hide error keys
       current_user_key.clear();
       has_current_user_key = false;
@@ -2330,56 +2034,15 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     }
 
     if (!drop) {
-      // Open output file if necessary
-      if (compact->builder == nullptr) {
+      if (!compact->output.is_open()) {
         status = OpenCompactionOutputFile(compact);
         if (!status.ok()) {
           break;
         }
       }
-      CompactionState::Output* out = compact->current_output();
-      if (compact->builder->NumEntries() == 0) {
-        out->smallest.DecodeFrom(key);
-      }
-      out->largest.DecodeFrom(key);
-      compact->builder->Add(key, input->value(), ExtractUserKey(key));
-
-      // Maintain Acheron per-output metadata.
-      if (ikey.type == kTypeDeletion) {
-        out->num_tombstones++;
-        if (ikey.sequence < out->earliest_tombstone_seq) {
-          out->earliest_tombstone_seq = ikey.sequence;
-          // Approximate: inherit the earliest wall stamp among inputs.
-          for (int which = 0; which < 2; which++) {
-            for (int i = 0; i < compact->compaction->num_input_files(which);
-                 i++) {
-              out->earliest_tombstone_wall_micros =
-                  std::min(out->earliest_tombstone_wall_micros,
-                           compact->compaction->input(which, i)
-                               ->earliest_tombstone_wall_micros);
-            }
-          }
-        }
-      } else if (ikey.type == kTypeValuePointer) {
-        // The extractor must never run on a pointer payload; track the
-        // segment span instead (liveness for RemoveObsoleteFiles).
-        vlog::FoldVlogSpan(input->value(), &out->min_vlog_segment,
-                           &out->max_vlog_segment);
-      } else if (options_.secondary_key_extractor) {
-        std::string sec = options_.secondary_key_extractor(ikey.user_key,
-                                                           input->value());
-        if (!sec.empty()) {
-          if (out->min_secondary_key.empty() || sec < out->min_secondary_key) {
-            out->min_secondary_key = sec;
-          }
-          if (out->max_secondary_key.empty() || sec > out->max_secondary_key) {
-            out->max_secondary_key = sec;
-          }
-        }
-      }
-
-      // Close output file if it is big enough
-      if (compact->builder->FileSize() >=
+      compact->output.Add(key, input->value(), parsed ? &ikey : nullptr);
+      // Roll over to a new output once this one is big enough.
+      if (compact->output.FileSize() >=
           compact->compaction->MaxOutputFileSize()) {
         status = FinishCompactionOutputFile(compact, input);
         if (!status.ok()) {
@@ -2398,6 +2061,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   // here would otherwise resurrect. (Memtable data is always newer than a
   // flushed tombstone, so only files can resurrect.) Survivors are carried
   // forward into the last output.
+  bool range_only_output = false;
   if (status.ok() && !input_range_dels.empty()) {
     const Comparator* ucmp = internal_comparator_.user_comparator();
     const Version* base = compact->compaction->input_version();
@@ -2430,91 +2094,66 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
       }
     }
     if (!survivors.empty()) {
-      const bool fresh_output = compact->builder == nullptr;
-      if (fresh_output) {
+      range_only_output = !compact->output.is_open();
+      if (range_only_output) {
         status = OpenCompactionOutputFile(compact);
       }
       if (status.ok()) {
-        CompactionState::Output* out = compact->current_output();
         for (const RangeTombstone& t : survivors) {
-          compact->builder->AddRangeTombstone(t.begin, t.end, t.seq, ucmp);
-          out->num_range_tombstones++;
-          out->earliest_range_tombstone_seq =
-              std::min(out->earliest_range_tombstone_seq, t.seq);
-          if (out->range_del_begin.empty() ||
-              ucmp->Compare(Slice(t.begin), Slice(out->range_del_begin)) < 0) {
-            out->range_del_begin = t.begin;
-          }
-          if (out->range_del_end.empty() ||
-              ucmp->Compare(Slice(t.end), Slice(out->range_del_end)) > 0) {
-            out->range_del_end = t.end;
-          }
-        }
-        // Oldest wall stamp among the inputs that contributed tombstones.
-        for (int which = 0; which < 2; which++) {
-          for (int i = 0; i < compact->compaction->num_input_files(which);
-               i++) {
-            const FileMetaData* f = compact->compaction->input(which, i);
-            if (f->has_range_tombstones()) {
-              out->earliest_range_tombstone_wall_micros =
-                  std::min(out->earliest_range_tombstone_wall_micros,
-                           f->earliest_range_tombstone_wall_micros);
-            }
-          }
-        }
-        if (fresh_output) {
-          // A range-tombstone-only output has no point entries to derive
-          // bounds from. Clamp to the union internal-key range of the
-          // inputs: the compaction owns that region at the output level
-          // (SetupOtherInputs pulled in every overlapping file, and the
-          // planner's same-level widening keeps its input run contiguous),
-          // so sorted-level disjointness holds. If earlier outputs already
-          // cover a prefix of the region, start just past the last one --
-          // same user key at the next-lower sequence sorts strictly after,
-          // and that exact (key, seq) pair exists nowhere else.
-          InternalKey lo, hi;
-          bool first = true;
-          for (int which = 0; which < 2; which++) {
-            for (int i = 0; i < compact->compaction->num_input_files(which);
-                 i++) {
-              const FileMetaData* f = compact->compaction->input(which, i);
-              if (first || internal_comparator_.Compare(
-                               f->smallest.Encode(), lo.Encode()) < 0) {
-                lo = f->smallest;
-              }
-              if (first || internal_comparator_.Compare(
-                               f->largest.Encode(), hi.Encode()) > 0) {
-                hi = f->largest;
-              }
-              first = false;
-            }
-          }
-          if (compact->outputs.size() > 1) {
-            const CompactionState::Output& prev =
-                compact->outputs[compact->outputs.size() - 2];
-            ParsedInternalKey pk;
-            if (ParseInternalKey(prev.largest.Encode(), &pk)) {
-              lo = InternalKey(pk.user_key,
-                               pk.sequence > 0 ? pk.sequence - 1 : 0,
-                               pk.type);
-              if (internal_comparator_.Compare(hi.Encode(), lo.Encode()) <
-                  0) {
-                hi = lo;
-              }
-            }
-          }
-          out->smallest = lo;
-          out->largest = hi;
+          compact->output.AddRangeTombstone(t);
         }
       }
     }
   }
 
-  if (status.ok() && compact->builder != nullptr) {
+  if (status.ok() && compact->output.is_open()) {
     status = FinishCompactionOutputFile(compact, input);
   }
   if (status.ok()) {
     status = input->status();
+  }
+  if (compact->output.is_open()) {
+    compact->output.Abandon();  // failed mid-output
+  }
+  if (status.ok() && range_only_output) {
+    // A range-tombstone-only output has no point entries to derive bounds
+    // from. Clamp to the union internal-key range of the inputs: the
+    // compaction owns that region at the output level (SetupOtherInputs
+    // pulled in every overlapping file, and the planner's same-level
+    // widening keeps its input run contiguous), so sorted-level disjointness
+    // holds. If earlier outputs already cover a prefix of the region, start
+    // just past the last one -- same user key at the next-lower sequence
+    // sorts strictly after, and that exact (key, seq) pair exists nowhere
+    // else.
+    InternalKey lo, hi;
+    bool first = true;
+    for (int which = 0; which < 2; which++) {
+      for (int i = 0; i < compact->compaction->num_input_files(which); i++) {
+        const FileMetaData* f = compact->compaction->input(which, i);
+        if (first || internal_comparator_.Compare(f->smallest.Encode(),
+                                                  lo.Encode()) < 0) {
+          lo = f->smallest;
+        }
+        if (first || internal_comparator_.Compare(f->largest.Encode(),
+                                                  hi.Encode()) > 0) {
+          hi = f->largest;
+        }
+        first = false;
+      }
+    }
+    if (compact->outputs.size() > 1) {
+      const FileMetaData& prev = compact->outputs[compact->outputs.size() - 2];
+      ParsedInternalKey pk;
+      if (ParseInternalKey(prev.largest.Encode(), &pk)) {
+        lo = InternalKey(pk.user_key, pk.sequence > 0 ? pk.sequence - 1 : 0,
+                         pk.type);
+        if (internal_comparator_.Compare(hi.Encode(), lo.Encode()) < 0) {
+          hi = lo;
+        }
+      }
+    }
+    compact->outputs.back().smallest = lo;
+    compact->outputs.back().largest = hi;
   }
   delete input;
   input = nullptr;
@@ -2523,7 +2162,9 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   prefetcher.reset();
 
   mutex_.Lock();
-  stats_.compaction_bytes_written += compact->total_bytes;
+  for (const FileMetaData& out : compact->outputs) {
+    stats_.compaction_bytes_written += out.file_size;
+  }
   stats_.entries_shadowed_dropped += shadowed_dropped;
   stats_.tombstones_dropped_bottom += tombstones_dropped;
 
@@ -2557,20 +2198,7 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
 }
 
 void DBImpl::CleanupCompaction(CompactionState* compact) {
-  if (compact->builder != nullptr) {
-    // May happen if we get a shutdown call in the middle of compaction
-    compact->builder->Abandon();
-    compact->builder.reset();
-  }
-  if (compact->outfile != nullptr) {
-    // An in-progress output that was never installed (error or shutdown
-    // mid-compaction); close deliberately -- the dropped status is a
-    // conscious choice, not a silent one in the destructor.
-    (void)compact->outfile->Close();  // io: mutex-held -- abandoned output
-    compact->outfile.reset();
-  }
-  for (size_t i = 0; i < compact->outputs.size(); i++) {
-    const CompactionState::Output& out = compact->outputs[i];
+  for (const FileMetaData& out : compact->outputs) {
     pending_outputs_.erase(out.number);
   }
   delete compact;
@@ -3497,7 +3125,7 @@ void DBImpl::TEST_CompactRange(int level, const Slice* begin,
     stats_.compactions_by_reason[static_cast<size_t>(
         CompactionReason::kManual)]++;
 
-    CompactionState* compact = new CompactionState(c.get());
+    CompactionState* compact = new CompactionState(c.get(), *this);
     Status s = DoCompactionWork(compact, versions_->LastSequence());
     if (!s.ok()) {
       RecordBackgroundError(s, ErrorSubsystem::kCompaction);
@@ -3785,153 +3413,6 @@ InternalStats DBImpl::GetStats() {
 
 // ---------------- Secondary (retention) purge, KiWi-lite ----------------
 
-Status DBImpl::RewriteFileForPurge(FileMetaData* f, int level,
-                                   const Slice& threshold,
-                                   VersionEdit* edit) {
-  // Rewrites |f| skipping every value entry whose secondary
-  // key sorts below |threshold|. Tombstones are preserved.
-  const uint64_t new_number = versions_->NewFileNumber();
-  pending_outputs_.insert(new_number);
-
-  // The rewrite I/O runs unlocked; the caller holds the compaction slot,
-  // which pins |f| (its version is referenced and no rival compaction can
-  // delete it) for the duration.
-  mutex_.Unlock();
-  ReadOptions ropts;
-  ropts.fill_cache = false;
-  std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f->number, f->file_size));
-
-  // Range tombstones are orthogonal to the secondary purge and must be
-  // carried into the replacement verbatim: losing them would resurrect
-  // every key they cover.
-  std::vector<RangeTombstone> range_dels;
-  Status s;
-  if (f->has_range_tombstones()) {
-    s = table_cache_->GetRangeTombstones(f->number, f->file_size,
-                                         &range_dels);
-  }
-  std::unique_ptr<WritableFile> file;
-  if (s.ok()) {
-    s = env_->NewWritableFile(TableFileName(dbname_, new_number),
-                              &file);  // io: unlocked
-  }
-  if (!s.ok()) {
-    mutex_.Lock();
-    pending_outputs_.erase(new_number);
-    return s;
-  }
-
-  FileMetaData meta;
-  meta.number = new_number;
-  TableBuilder builder(options_, file.get());
-  uint64_t dropped = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    Slice key = it->key();
-    ParsedInternalKey parsed;
-    bool keep = true;
-    std::string sec;
-    if (ParseInternalKey(key, &parsed) && parsed.type == kTypeValue) {
-      sec = options_.secondary_key_extractor(parsed.user_key, it->value());
-      if (!sec.empty() && Slice(sec).compare(threshold) < 0) {
-        keep = false;
-        dropped++;
-      }
-    }
-    if (!keep) continue;
-    if (builder.NumEntries() == 0) meta.smallest.DecodeFrom(key);
-    meta.largest.DecodeFrom(key);
-    builder.Add(key, it->value(), ExtractUserKey(key));
-    if (ParseInternalKey(key, &parsed)) {
-      if (parsed.type == kTypeDeletion) {
-        meta.num_tombstones++;
-        meta.earliest_tombstone_seq =
-            std::min(meta.earliest_tombstone_seq, parsed.sequence);
-        meta.earliest_tombstone_wall_micros = std::min(
-            meta.earliest_tombstone_wall_micros,
-            f->earliest_tombstone_wall_micros);
-      } else if (parsed.type == kTypeValuePointer) {
-        // Pointer entries ride through the purge verbatim (the extractor
-        // never sees them); the replacement must keep their segment span or
-        // RemoveObsoleteFiles could unlink a segment they still reference.
-        vlog::FoldVlogSpan(it->value(), &meta.min_vlog_segment,
-                           &meta.max_vlog_segment);
-      } else if (!sec.empty()) {
-        if (meta.min_secondary_key.empty() || sec < meta.min_secondary_key) {
-          meta.min_secondary_key = sec;
-        }
-        if (meta.max_secondary_key.empty() || sec > meta.max_secondary_key) {
-          meta.max_secondary_key = sec;
-        }
-      }
-    }
-  }
-  if (!it->status().ok()) {
-    s = it->status();
-  }
-
-  if (s.ok() && !range_dels.empty()) {
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                internal_comparator_.user_comparator());
-      meta.num_range_tombstones++;
-      meta.earliest_range_tombstone_seq =
-          std::min(meta.earliest_range_tombstone_seq, t.seq);
-    }
-    meta.earliest_range_tombstone_wall_micros =
-        f->earliest_range_tombstone_wall_micros;
-    meta.range_del_begin = f->range_del_begin;
-    meta.range_del_end = f->range_del_end;
-  }
-
-  bool emit_replacement = false;
-  if (s.ok() && (builder.NumEntries() > 0 || meta.num_range_tombstones > 0)) {
-    meta.num_entries = builder.NumEntries();
-    if (builder.NumEntries() == 0) {
-      // Every point entry purged but range tombstones remain: keep the old
-      // file's bounds (the replacement fills the same slot in the level).
-      meta.smallest = f->smallest;
-      meta.largest = f->largest;
-    }
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = meta.num_tombstones;
-    props->earliest_tombstone_time = meta.earliest_tombstone_seq;
-    if (meta.num_range_tombstones > 0) {
-      props->earliest_range_tombstone_wall_micros =
-          meta.earliest_range_tombstone_wall_micros;
-    }
-    props->min_secondary_key = meta.min_secondary_key;
-    props->max_secondary_key = meta.max_secondary_key;
-    s = builder.Finish();
-    if (s.ok()) {
-      meta.file_size = builder.FileSize();
-      meta.run_id = f->run_id;  // preserve recency ordering within the level
-      // Durable before the (synced) manifest record references it.
-      s = file->Sync();
-      if (s.ok()) s = file->Close();
-    }
-    emit_replacement = s.ok();
-  } else {
-    builder.Abandon();
-    if (s.ok()) {
-      // Everything in the file was purged.
-      (void)env_->RemoveFile(
-          TableFileName(dbname_, new_number));  // io: unlocked
-    }
-  }
-
-  mutex_.Lock();
-  if (s.ok()) {
-    edit->RemoveFile(level, f->number);
-    if (emit_replacement) {
-      edit->AddFile(level, meta);
-    }
-    stats_.blocks_purged_secondary += dropped;
-  }
-  pending_outputs_.erase(new_number);
-  return s;
-}
-
 Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   if (!options_.secondary_key_extractor) {
     return Status::NotSupported(
@@ -3946,6 +3427,21 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
   // slot keeps background compactions from rewriting the same files.
   AcquireCompactionSlot();
   VersionEdit edit;
+  // Straddling files are rewritten without the value entries whose
+  // secondary key sorts below |threshold|; tombstones are preserved.
+  uint64_t dropped = 0;
+  auto drop_expired = [&](const ParsedInternalKey& key, Slice* value,
+                          bool* keep) {
+    if (key.type == kTypeValue) {
+      const std::string sec =
+          options_.secondary_key_extractor(key.user_key, *value);
+      if (!sec.empty() && Slice(sec).compare(threshold) < 0) {
+        *keep = false;
+        dropped++;
+      }
+    }
+    return Status::OK();
+  };
   Version* base = versions_->current();
   base->Ref();
   for (int level = 0; level < kNumLevels && s.ok(); level++) {
@@ -3965,8 +3461,10 @@ Status DBImpl::PurgeSecondaryRange(const Slice& threshold) {
       }
       if (Slice(f->min_secondary_key).compare(threshold) < 0) {
         // Straddles the threshold: rewrite, skipping dead entries.
-        s = RewriteFileForPurge(f, level, threshold, &edit);
+        s = RewriteTable(f, level, drop_expired, &edit);
         if (!s.ok()) break;
+        stats_.blocks_purged_secondary += dropped;
+        dropped = 0;
       }
     }
   }

@@ -39,6 +39,7 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -62,7 +63,6 @@
 namespace acheron {
 
 class MemTable;
-class TableBuilder;
 class TableCache;
 
 class DBImpl : public DB {
@@ -315,12 +315,19 @@ class DBImpl : public DB {
   // level's cumulative TTL.
   void ComputeNextTtlDeadline() EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
-  // Rewrite one table file, dropping entries whose secondary key is below
-  // |threshold|; emits the replacement (if non-empty) into |edit|. The
-  // rewrite I/O runs with the mutex released (caller holds the compaction
-  // slot, which keeps |f| alive and unrivaled).
-  Status RewriteFileForPurge(FileMetaData* f, int level, const Slice& threshold,
-                             VersionEdit* edit)
+  // Per-entry decision of a table rewrite, run with the mutex released:
+  // clear *keep to drop the entry, or point *value at a replacement that
+  // stays valid until the next call. A non-OK status aborts the rewrite.
+  using EntryRewrite = std::function<Status(const ParsedInternalKey& key,
+                                            Slice* value, bool* keep)>;
+
+  // Rewrite |f| through |rewrite| at the same level with the same run_id,
+  // carrying its range tombstones verbatim, and record the swap in |edit|
+  // (a file left empty is only removed). The rewrite I/O runs with the
+  // mutex released; the caller holds the compaction slot and a reference on
+  // |f|'s version, which keep |f| alive and unrivaled.
+  Status RewriteTable(const FileMetaData* f, int level,
+                      const EntryRewrite& rewrite, VersionEdit* edit)
       EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // ---- Value log (key-value separation; see src/vlog/ and DESIGN.md) ----
@@ -365,15 +372,6 @@ class DBImpl : public DB {
   // the registry and journal the value-purge latencies of its pending
   // purges. Caller holds the compaction slot.
   Status CollectVlogSegment(uint64_t segment) EXCLUSIVE_LOCKS_REQUIRED(mutex_);
-
-  // Rewrite |f|, redirecting every pointer into |victim| at |reloc|; all
-  // other entries are copied verbatim (same level, preserved run_id --
-  // mirrors RewriteFileForPurge). The rewrite I/O runs unlocked.
-  Status RewriteFileForVlogGc(const FileMetaData* f, int level,
-                              uint64_t victim, vlog::Writer* reloc,
-                              VersionEdit* edit, uint64_t* relocated_values,
-                              uint64_t* relocated_bytes)
-      EXCLUSIVE_LOCKS_REQUIRED(mutex_);
 
   // Recovery: reconcile the recovered registry against the .vlog files on
   // disk. The unsealed head (if any) is CRC-scanned and logically sealed at

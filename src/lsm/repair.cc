@@ -37,11 +37,11 @@
 #include "src/lsm/db.h"
 #include "src/lsm/dbformat.h"
 #include "src/lsm/filename.h"
+#include "src/lsm/table_output.h"
 #include "src/lsm/version_edit.h"
 #include "src/lsm/write_batch_internal.h"
 #include "src/memtable/memtable.h"
 #include "src/table/table.h"
-#include "src/table/table_builder.h"
 #include "src/vlog/vlog_format.h"
 #include "src/vlog/vlog_reader.h"
 #include "src/wal/log_reader.h"
@@ -454,53 +454,25 @@ class Repairer {
     WriteBatch batch;
     MemTable* mem = new MemTable(icmp_);
     mem->Ref();
-    int counter = 0;
     while (reader.ReadRecord(&record, &scratch)) {
       if (record.size() < 12) continue;
       WriteBatchInternal::SetContents(&batch, record);
-      Status s = WriteBatchInternal::InsertInto(&batch, mem);
-      if (s.ok()) {
-        counter += WriteBatchInternal::Count(&batch);
-      }
       // Ignore per-batch errors: salvage what parses.
+      (void)WriteBatchInternal::InsertInto(&batch, mem);
     }
 
     if (mem->num_entries() > 0 || mem->num_range_tombstones() > 0) {
-      uint64_t number = next_file_number_++;
-      status = BuildTableFromMemTable(mem, number);
+      FileMetaData meta;
+      meta.number = next_file_number_++;
+      // ScanTable re-derives the metadata from the file itself.
+      status = BuildTable(options_, dbname_, icmp_.user_comparator(), mem,
+                          &meta);
       if (status.ok()) {
-        table_numbers_.push_back(number);
+        table_numbers_.push_back(meta.number);
       }
     }
     mem->Unref();
-    (void)counter;
     return status;
-  }
-
-  Status BuildTableFromMemTable(MemTable* mem, uint64_t number) {
-    std::string fname = TableFileName(dbname_, number);
-    std::unique_ptr<WritableFile> file;
-    Status s = env_->NewWritableFile(fname, &file);  // io: repair
-    if (!s.ok()) return s;
-    TableBuilder builder(options_, file.get());
-    std::unique_ptr<Iterator> iter(mem->NewIterator());
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-      builder.Add(iter->key(), iter->value(), ExtractUserKey(iter->key()));
-    }
-    std::vector<RangeTombstone> range_dels;
-    mem->CollectRangeTombstones(&range_dels);
-    for (const RangeTombstone& t : range_dels) {
-      builder.AddRangeTombstone(t.begin, t.end, t.seq,
-                                icmp_.user_comparator());
-    }
-    TableProperties* props = builder.mutable_properties();
-    props->num_tombstones = mem->num_tombstones();
-    props->earliest_tombstone_time = mem->earliest_tombstone_seq();
-    s = builder.Finish();
-    if (s.ok()) s = file->Sync();
-    if (s.ok()) s = file->Close();
-    if (!s.ok()) (void)env_->RemoveFile(fname);  // io: repair cleanup
-    return s;
   }
 
   void ExtractMetaData() {
@@ -534,7 +506,6 @@ class Repairer {
     // per-entry data beats a possibly stale properties block and validates
     // every block checksum along the way.
     std::unique_ptr<Iterator> iter(table->NewIterator(ReadOptions()));
-    bool empty = true;
     bool bad_key = false;
     t->max_sequence = 0;
     ParsedInternalKey parsed;
@@ -544,60 +515,28 @@ class Repairer {
         bad_key = true;
         continue;
       }
-      if (empty) {
-        empty = false;
-        t->meta.smallest.DecodeFrom(key);
-      }
-      t->meta.largest.DecodeFrom(key);
-      t->meta.num_entries++;
-      if (parsed.sequence > t->max_sequence) {
-        t->max_sequence = parsed.sequence;
-      }
-      if (parsed.type == kTypeDeletion) {
-        t->meta.num_tombstones++;
-        if (parsed.sequence < t->meta.earliest_tombstone_seq) {
-          t->meta.earliest_tombstone_seq = parsed.sequence;
-        }
-      } else if (parsed.type == kTypeValuePointer) {
-        // Re-derive the table's vLog span so obsolete-file collection keeps
-        // the referenced segments alive after the repair.
-        vlog::FoldVlogSpan(iter->value(), &t->meta.min_vlog_segment,
-                           &t->meta.max_vlog_segment);
-      }
+      t->max_sequence = std::max(t->max_sequence, parsed.sequence);
+      FoldTableEntry(options_, key, &parsed, iter->value(), &t->meta);
     }
     Status iter_status = iter->status();
     iter.reset();
 
-    // Range tombstones live in their own block; re-derive their metadata
-    // too. (A table whose range-del block failed to decode never passed
-    // Table::Open, so raw_range_tombstones() here is trustworthy.)
+    // Range tombstones live in their own block, whose count, earliest
+    // seqno and span the properties block records (a table whose range-del
+    // block failed to decode never passed Table::Open).
     const std::vector<RangeTombstone>& range_dels =
         table->raw_range_tombstones();
-    const Comparator* ucmp = icmp_.user_comparator();
     SequenceNumber max_range_seq = 0;
     for (const RangeTombstone& rt : range_dels) {
-      t->meta.num_range_tombstones++;
-      t->meta.earliest_range_tombstone_seq =
-          std::min(t->meta.earliest_range_tombstone_seq, rt.seq);
       max_range_seq = std::max(max_range_seq, rt.seq);
-      if (rt.seq > t->max_sequence) t->max_sequence = rt.seq;
-      if (t->meta.range_del_begin.empty() ||
-          ucmp->Compare(Slice(rt.begin), Slice(t->meta.range_del_begin)) < 0) {
-        t->meta.range_del_begin = rt.begin;
-      }
-      if (t->meta.range_del_end.empty() ||
-          ucmp->Compare(Slice(rt.end), Slice(t->meta.range_del_end)) > 0) {
-        t->meta.range_del_end = rt.end;
-      }
     }
-    if (t->meta.num_range_tombstones > 0) {
-      t->meta.earliest_range_tombstone_wall_micros =
-          table->properties().earliest_range_tombstone_wall_micros;
-    }
+    t->max_sequence = std::max(t->max_sequence, max_range_seq);
+    CopyRangeTombstoneMeta(table->properties(), &t->meta);
     delete table;
 
     if (!iter_status.ok()) return iter_status;
-    if (empty && range_dels.empty()) {
+    const bool empty = t->meta.num_entries == 0;
+    if (empty && !t->meta.has_range_tombstones()) {
       return Status::Corruption("table holds no decodable entries");
     }
     if (empty) {

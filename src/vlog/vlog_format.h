@@ -61,10 +61,11 @@ inline bool DecodeValuePointerStrict(const Slice& payload, ValuePointer* ptr) {
 }
 
 // Fold a pointer entry's segment number into a [min,max] span (0 = unset).
-// Every table builder (flush, compaction, purge/GC rewrites, repair) feeds
-// kTypeValuePointer payloads through this so FileMetaData's vLog span stays
-// an over-approximation of the segments the file references. Undecodable
-// payloads are ignored here; readers surface the corruption.
+// The table-metadata fold (FoldTableEntry, src/lsm/table_output.h) feeds
+// every kTypeValuePointer payload a table holds through this, so
+// FileMetaData's vLog span stays an over-approximation of the segments the
+// file references. Undecodable payloads are ignored here; readers surface
+// the corruption.
 inline void FoldVlogSpan(const Slice& payload, uint64_t* min_segment,
                          uint64_t* max_segment) {
   ValuePointer ptr;

@@ -347,4 +347,32 @@ TEST_F(RepairTest, SalvagesOrphanedTable) {
   EXPECT_EQ("rescued", Get("orphan"));
 }
 
+TEST_F(RepairTest, SalvagedTablesKeepSecondaryKeySpan) {
+  // Values are "TTTTTTTT|payload"; the retention purge skips every file
+  // whose recorded secondary-key span is empty, so the salvage tier must
+  // re-derive it or repaired data can never expire.
+  options_.secondary_key_extractor = [](const Slice&, const Slice& value) {
+    return value.size() < 8 ? std::string()
+                            : std::string(value.data(), 8);
+  };
+  ASSERT_TRUE(Open().ok());
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i),
+                         "0000" + std::to_string(1000 + i) + "|expired")
+                    .ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  Close();
+  RemoveManifestAndCurrent();
+
+  ASSERT_TRUE(RepairDB("/db", options_).ok());
+  ASSERT_TRUE(Open().ok());
+  ASSERT_TRUE(db_->PurgeSecondaryRange("00002000").ok());
+  int survivors = 0;
+  for (int i = 0; i < 200; i++) {
+    if (Get("k" + std::to_string(i)) != "NOT_FOUND") survivors++;
+  }
+  EXPECT_EQ(0, survivors);
+}
+
 }  // namespace acheron

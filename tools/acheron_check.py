@@ -292,7 +292,7 @@ class LockEvent:
 class Func:
     __slots__ = ("qname", "cls", "name", "path", "line", "end_line",
                  "required", "calls", "lock_events", "local_ptr_types",
-                 "body_ids")
+                 "local_obj_types", "body_ids")
 
     def __init__(self, qname, cls, name, path, line):
         self.qname = qname
@@ -305,6 +305,7 @@ class Func:
         self.calls = []          # [CallSite]
         self.lock_events = []    # [LockEvent]
         self.local_ptr_types = {}  # var name -> class name (for Type* var)
+        self.local_obj_types = {}  # var name -> type name (for Type var)
         self.body_ids = set()    # all identifier texts in the body
 
 
@@ -676,6 +677,12 @@ def parse_file(lexed):
                 toks[i + 1].text == "*" and toks[i + 2].kind == "id" and \
                 (i + 3 >= n or toks[i + 3].text in ("=", ";", ")", ",")):
             f.local_ptr_types.setdefault(toks[i + 2].text, t.text)
+        # Local objects declared by value: Type name( / { / ; / =
+        if t.kind == "id" and t.text not in KEYWORDS and i + 2 < n and \
+                toks[i + 1].kind == "id" and \
+                toks[i + 1].text not in KEYWORDS and \
+                toks[i + 2].text in ("(", "{", ";", "="):
+            f.local_obj_types.setdefault(toks[i + 1].text, t.text)
         # Generic call site: id (
         if t.kind == "id" and t.text not in KEYWORDS and i + 1 < n and \
                 toks[i + 1].kind == "punct" and toks[i + 1].text == "(":
@@ -1060,7 +1067,8 @@ class Registry:
         receiver type resolved -> that class's harvested method, else the
         virtual-dispatch set (harvested same-name methods on transitively
         derived classes); receiver unresolved -> only a globally unique
-        name; bare call -> same-class method, else unique name."""
+        name, else the class of a by-value local receiver; bare call ->
+        same-class method, else unique name."""
         cands = self.funcs_by_name.get(call.name, [])
         if not cands:
             return []
@@ -1074,7 +1082,15 @@ class Registry:
                     return own
                 sub = self.derived.get(t, ())
                 return [g for g in cands if g.cls in sub]
-            return cands if len(cands) == 1 else []
+            if len(cands) == 1:
+                return cands
+            # Last resort for a shared method name: a local object declared
+            # by value (`TableOutput out(...); out.Finish()`). Only calls
+            # the rules above leave unresolved reach this point.
+            t = fn.local_obj_types.get(call.recv[0])
+            if len(call.recv) == 1 and t in self.classes:
+                return [g for g in cands if g.cls == t]
+            return []
         if fn.cls:
             own = [g for g in cands if g.cls == fn.cls]
             if own:
