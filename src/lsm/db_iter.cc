@@ -247,6 +247,11 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
             return;
           }
           break;
+        case kTypeRangeDeletion:
+          // Range tombstones live in their own per-table block, never in the
+          // point stream; should one appear here it is neither yielded nor
+          // allowed to hide older versions (coverage comes from RangeCovered).
+          break;
       }
     }
     iter_->Next();

@@ -16,6 +16,23 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 // Return the crc32c of data[0,n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 
+// The kernels behind Extend(), exposed so tests and benchmarks can check each
+// one against the others. Everything else calls Extend().
+namespace internal {
+
+// Slice-by-8 tables; runs on any CPU.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+#if defined(__x86_64__)
+// Whether this CPU has SSE4.2; ExtendSse42 may only be called if it does.
+bool Sse42Supported();
+
+// The SSE4.2 crc32 instruction, 8 bytes per step.
+uint32_t ExtendSse42(uint32_t init_crc, const char* data, size_t n);
+#endif
+
+}  // namespace internal
+
 static const uint32_t kMaskDelta = 0xa282ead8ul;
 
 // Return a masked representation of crc. Stored CRCs are masked because

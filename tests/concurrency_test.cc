@@ -28,7 +28,7 @@ class ConcurrencyTest : public ::testing::Test {
   ~ConcurrencyTest() override { delete db_; }
 
   static std::string Key(uint64_t i) {
-    char buf[16];
+    char buf[24];  // "k" + up to 20 digits + NUL
     std::snprintf(buf, sizeof(buf), "k%06llu",
                   static_cast<unsigned long long>(i));
     return buf;
@@ -170,7 +170,7 @@ TEST_F(ConcurrencyTest, SnapshotsUnderConcurrentChurn) {
 class BackgroundConcurrencyTest : public ::testing::Test {
  protected:
   static std::string Key(uint64_t i) {
-    char buf[16];
+    char buf[24];  // "k" + up to 20 digits + NUL
     std::snprintf(buf, sizeof(buf), "k%06llu",
                   static_cast<unsigned long long>(i));
     return buf;

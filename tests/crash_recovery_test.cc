@@ -42,10 +42,16 @@ class CrashSimTest : public ::testing::Test {
                  const std::string& b = std::string()) {
     std::unique_ptr<WritableFile> f;
     ASSERT_TRUE(env_.NewWritableFile(fname, &f).ok());
-    if (!a.empty()) ASSERT_TRUE(f->Append(a).ok());
-    if (!synced_upto_here.empty()) ASSERT_TRUE(f->Append(synced_upto_here).ok());
+    if (!a.empty()) {
+      ASSERT_TRUE(f->Append(a).ok());
+    }
+    if (!synced_upto_here.empty()) {
+      ASSERT_TRUE(f->Append(synced_upto_here).ok());
+    }
     ASSERT_TRUE(f->Sync().ok());
-    if (!b.empty()) ASSERT_TRUE(f->Append(b).ok());
+    if (!b.empty()) {
+      ASSERT_TRUE(f->Append(b).ok());
+    }
     ASSERT_TRUE(f->Close().ok());
   }
 

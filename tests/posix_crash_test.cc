@@ -129,7 +129,9 @@ TEST(PosixMmapCrash, MmapNeverObservesPastSyncedPrefix) {
   std::unique_ptr<Env> base(NewPosixEnv(/*unbuffered_writes=*/true));
   FaultInjectionEnv fenv(base.get());
   ASSERT_TRUE(fenv.CreateDir(dir).ok());
-  if (fenv.FileExists(fname)) ASSERT_TRUE(fenv.RemoveFile(fname).ok());
+  if (fenv.FileExists(fname)) {
+    ASSERT_TRUE(fenv.RemoveFile(fname).ok());
+  }
 
   // 8KiB synced 'A' prefix, then 8KiB of unsynced 'B' that the crash drops.
   const std::string synced(8192, 'A');

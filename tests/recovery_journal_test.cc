@@ -213,7 +213,9 @@ TEST_P(RecoveryJournalTest, DoubleKillKeepsCountersExact) {
   wo.sync = true;
   for (int i = 0; i < 6; i++) {
     ASSERT_TRUE(db->Put(wo, "x" + std::to_string(i), "v").ok());
-    if (i == 2) ASSERT_TRUE(db->Delete(wo, "k0001").ok());
+    if (i == 2) {
+      ASSERT_TRUE(db->Delete(wo, "k0001").ok());
+    }
   }
   ASSERT_TRUE(db->FlushMemTable().ok());
   const Probe before = Capture(db);

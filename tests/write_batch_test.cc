@@ -35,6 +35,10 @@ static std::string PrintContents(WriteBatch* b) {
         state.append(")");
         count++;
         break;
+      default:
+        ADD_FAILURE() << "unexpected value type "
+                      << static_cast<int>(ikey.type);
+        break;
     }
     state.append("@");
     state.append(std::to_string(ikey.sequence));
