@@ -1190,16 +1190,10 @@ Status DBImpl::RewriteTable(const FileMetaData* f, int level,
   mutex_.Unlock();
   ReadOptions ropts;
   ropts.fill_cache = false;
-  std::unique_ptr<Iterator> it(
-      table_cache_->NewIterator(ropts, f->number, f->file_size));
-  // Range tombstones are carried into the replacement verbatim: losing them
-  // would resurrect every key they cover.
-  std::vector<RangeTombstone> range_dels;
-  Status s;
-  if (f->has_range_tombstones()) {
-    s = table_cache_->GetRangeTombstones(f->number, f->file_size,
-                                         &range_dels);
-  }
+  Table* table = nullptr;
+  Status s = table_cache_->PinTable(*f, &table);
+  std::unique_ptr<Iterator> it(s.ok() ? table->NewIterator(ropts)
+                                      : NewErrorIterator(s));
   TableOutput out(options_, dbname_, internal_comparator_.user_comparator(),
                   f->earliest_tombstone_wall_micros,
                   f->earliest_range_tombstone_wall_micros);
@@ -1218,7 +1212,11 @@ Status DBImpl::RewriteTable(const FileMetaData* f, int level,
   if (s.ok()) s = it->status();
   FileMetaData meta;
   if (s.ok()) {
-    for (const RangeTombstone& t : range_dels) out.AddRangeTombstone(t);
+    // Range tombstones are carried into the replacement verbatim: losing
+    // them would resurrect every key they cover.
+    for (const RangeTombstone& t : table->raw_range_tombstones()) {
+      out.AddRangeTombstone(t);
+    }
     s = out.Finish(&meta);
   }
   if (out.is_open()) out.Abandon();
@@ -1899,9 +1897,11 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     for (int i = 0; i < compact->compaction->num_input_files(which); i++) {
       const FileMetaData* f = compact->compaction->input(which, i);
       if (!f->has_range_tombstones()) continue;
-      range_status = table_cache_->GetRangeTombstones(
-          f->number, f->file_size, &input_range_dels);  // io: unlocked
+      Table* table = nullptr;
+      range_status = table_cache_->PinTable(*f, &table);  // io: unlocked
       if (!range_status.ok()) break;
+      const std::vector<RangeTombstone>& raw = table->raw_range_tombstones();
+      input_range_dels.insert(input_range_dels.end(), raw.begin(), raw.end());
     }
   }
   FragmentedRangeTombstoneList range_cover;
@@ -2653,6 +2653,10 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
   return internal_iter;
 }
 
+uint64_t DBImpl::TEST_TableCacheLookups() const {
+  return table_cache_->lookups();
+}
+
 Iterator* DBImpl::TEST_NewInternalIterator() {
   SequenceNumber ignored;
   return NewInternalIterator(ReadOptions(), &ignored);
@@ -2810,8 +2814,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
       }
       if (status.ok() && !options_.disable_wal) {
         Slice contents = WriteBatchInternal::Contents(applied);
-        status = log->AddRecord(contents);
-        wal_bytes = contents.size();
+        status = log->AddRecord(contents, &wal_bytes);
         if (status.ok() && w.sync && vlog_appended_values > 0) {
           // Durability ordering: the vLog record must be durable before the
           // WAL record that points at it -- recovery trusts any pointer

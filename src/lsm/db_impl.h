@@ -105,6 +105,8 @@ class DBImpl : public DB {
   Iterator* TEST_NewInternalIterator();
   // The planner in use (TTL schedule inspection).
   const CompactionPlanner& TEST_planner() const { return planner_; }
+  // Table-cache lookups since open (see TableCache::lookups).
+  uint64_t TEST_TableCacheLookups() const;
 
  private:
   friend class DB;

@@ -89,7 +89,10 @@ struct Options {
   // a policy per table. A caller-supplied policy is never freed by the DB.
   const FilterPolicy* filter_policy = nullptr;
 
-  // Max number of open table files cached.
+  // Max number of open tables the table cache keeps that no live version
+  // pins. A table in a live version stays open from its first read until
+  // the last version referencing it dies, whatever this cap: it holds one
+  // mmap, or one fd once the Env's mmap budget (1000 on PosixEnv) is used.
   int max_open_files = 1000;
 
   // If true, every write is followed by a WAL fsync. Slower but no data is

@@ -20,6 +20,8 @@ namespace acheron {
 struct InternalStats {
   // --- write path ---
   uint64_t user_bytes_written = 0;  // key+value bytes accepted from callers
+  // Bytes appended to WAL files: batch payloads plus record headers and
+  // block-trailer padding, so the sum of the WAL files' sizes.
   uint64_t wal_bytes_written = 0;
   uint64_t flush_count = 0;
   uint64_t flush_bytes_written = 0;

@@ -37,6 +37,7 @@ TableCache::~TableCache() { delete cache_; }
 
 Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
                              Cache::Handle** handle) {
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   Status s;
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
@@ -68,25 +69,52 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
   return s;
 }
 
-Iterator* TableCache::NewIterator(const ReadOptions& options,
-                                  uint64_t file_number, uint64_t file_size,
-                                  Table** tableptr) {
-  if (tableptr != nullptr) {
-    *tableptr = nullptr;
-  }
+Table* TableCache::TableOf(Cache::Handle* handle) {
+  return reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
+}
 
+Status TableCache::PinSlow(const FileMetaData& f, Table** table) {
+  Cache::Handle* handle = nullptr;
+  Status s = FindTable(f.number, f.file_size, &handle);
+  if (s.ok()) {
+    *table = f.table_pin.Publish(cache_, handle, TableOf(handle));
+  }
+  return s;
+}
+
+Iterator* TableCache::NewIterator(const ReadOptions& options,
+                                  const FileMetaData& f) {
+  Table* table = nullptr;
+  Status s = PinTable(f, &table);
+  if (!s.ok()) {
+    return NewErrorIterator(s);
+  }
+  return table->NewIterator(options);
+}
+
+Status TableCache::Get(const ReadOptions& options, const FileMetaData& f,
+                       const Slice& k, const Slice& user_key, void* arg,
+                       void (*handle_result)(void*, const Slice&,
+                                             const Slice&),
+                       uint64_t* filter_negatives) {
+  Table* table = nullptr;
+  Status s = PinTable(f, &table);
+  if (s.ok()) {
+    s = table->InternalGet(options, k, user_key, arg, handle_result,
+                           filter_negatives);
+  }
+  return s;
+}
+
+Iterator* TableCache::NewIterator(const ReadOptions& options,
+                                  uint64_t file_number, uint64_t file_size) {
   Cache::Handle* handle = nullptr;
   Status s = FindTable(file_number, file_size, &handle);
   if (!s.ok()) {
     return NewErrorIterator(s);
   }
-
-  Table* table = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  Iterator* result = table->NewIterator(options);
+  Iterator* result = TableOf(handle)->NewIterator(options);
   result->RegisterCleanup(&UnrefEntry, cache_, handle);
-  if (tableptr != nullptr) {
-    *tableptr = table;
-  }
   return result;
 }
 
@@ -94,56 +122,15 @@ Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
                        uint64_t file_size, const Slice& k,
                        const Slice& user_key, void* arg,
                        void (*handle_result)(void*, const Slice&,
-                                             const Slice&),
-                       uint64_t* filter_negatives) {
+                                             const Slice&)) {
   Cache::Handle* handle = nullptr;
   Status s = FindTable(file_number, file_size, &handle);
   if (s.ok()) {
-    Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-    s = t->InternalGet(options, k, user_key, arg, handle_result,
-                       filter_negatives);
+    s = TableOf(handle)->InternalGet(options, k, user_key, arg, handle_result);
     cache_->Release(handle);
   }
   return s;
 }
-
-SequenceNumber TableCache::MaxRangeCoveringSeq(uint64_t file_number,
-                                               uint64_t file_size,
-                                               const Slice& user_key,
-                                               SequenceNumber snapshot) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (!s.ok()) return 0;
-  Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  SequenceNumber seq = t->range_tombstones().MaxCoveringSeq(user_key, snapshot);
-  cache_->Release(handle);
-  return seq;
-}
-
-Status TableCache::GetRangeTombstones(uint64_t file_number, uint64_t file_size,
-                                      std::vector<RangeTombstone>* out) {
-  Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
-  if (!s.ok()) return s;
-  Table* t = reinterpret_cast<TableAndFile*>(cache_->Value(handle))->table;
-  const std::vector<RangeTombstone>& raw = t->raw_range_tombstones();
-  out->insert(out->end(), raw.begin(), raw.end());
-  cache_->Release(handle);
-  return s;
-}
-
-Status TableCache::PinTable(uint64_t file_number, uint64_t file_size,
-                            Table** table, Cache::Handle** handle) {
-  *table = nullptr;
-  *handle = nullptr;
-  Status s = FindTable(file_number, file_size, handle);
-  if (s.ok()) {
-    *table = reinterpret_cast<TableAndFile*>(cache_->Value(*handle))->table;
-  }
-  return s;
-}
-
-void TableCache::Unpin(Cache::Handle* handle) { cache_->Release(handle); }
 
 void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];

@@ -1,11 +1,32 @@
 #include "src/lsm/version_edit.h"
 
+#include <memory>
 #include <sstream>
 
 #include "src/util/coding.h"
 #include "src/util/crc32c.h"
 
 namespace acheron {
+
+Table* TablePin::Publish(Cache* cache, Cache::Handle* handle,
+                         Table* table) const {
+  auto fresh = std::make_unique<Pinned>(Pinned{cache, handle, table});
+  Pinned* expected = nullptr;
+  // On failure |expected| receives the racer's published pin.
+  if (pinned_.compare_exchange_strong(expected, fresh.get(),
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+    return fresh.release()->table;
+  }
+  cache->Release(handle);
+  return expected->table;
+}
+
+void TablePin::Reset() {
+  std::unique_ptr<Pinned> p(
+      pinned_.exchange(nullptr, std::memory_order_acq_rel));
+  if (p != nullptr) p->cache->Release(p->handle);
+}
 
 // Tag numbers for serialized VersionEdit. These numbers are written to disk
 // and should not be changed.

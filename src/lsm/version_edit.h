@@ -4,21 +4,62 @@
 #ifndef ACHERON_LSM_VERSION_EDIT_H_
 #define ACHERON_LSM_VERSION_EDIT_H_
 
+#include <atomic>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "src/lsm/dbformat.h"
+#include "src/table/cache.h"
 #include "src/util/histogram.h"
 #include "src/util/status.h"
 #include "src/vlog/vlog_registry.h"
 
 namespace acheron {
 
+class Table;
 class VersionSet;
 
 // Maximum number of levels the tree may physically use.
 static const int kNumLevels = 12;
+
+// A file's open Table, pinned by a table-cache handle from the first read
+// of the file until the FileMetaData holding the pin dies (the last version
+// referencing it). Reads then reach the table with one acquire load and no
+// cache lock. Copies start empty and assignment drops the pin: a copy (a
+// VersionEdit entry, a Builder temporary) names the file, not the handle.
+class TablePin {
+ public:
+  TablePin() = default;
+  TablePin(const TablePin&) {}
+  TablePin& operator=(const TablePin&) {
+    Reset();
+    return *this;
+  }
+  ~TablePin() { Reset(); }
+
+  // The pinned table, or nullptr before the first Publish.
+  Table* table() const {
+    const Pinned* p = pinned_.load(std::memory_order_acquire);
+    return p == nullptr ? nullptr : p->table;
+  }
+
+  // Pin |table|, held by |handle| from |cache|, unless a racing reader
+  // pinned first; in that case |handle| is released. Returns the pinned
+  // table.
+  Table* Publish(Cache* cache, Cache::Handle* handle, Table* table) const;
+
+ private:
+  struct Pinned {
+    Cache* cache;
+    Cache::Handle* handle;
+    Table* table;
+  };
+
+  void Reset();
+
+  mutable std::atomic<Pinned*> pinned_{nullptr};
+};
 
 struct FileMetaData {
   FileMetaData() = default;
@@ -66,6 +107,9 @@ struct FileMetaData {
   // file-selection filter for vLog GC rewrites.
   uint64_t min_vlog_segment = 0;
   uint64_t max_vlog_segment = 0;
+
+  // Not file metadata: the open table, filled by TableCache::PinTable.
+  TablePin table_pin;
 
   bool has_vlog_pointers() const { return max_vlog_segment != 0; }
 

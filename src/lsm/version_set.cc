@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <array>
-#include <map>
+#include <cstring>
 #include <memory>
 
 #include "src/core/compaction_planner.h"
@@ -130,8 +130,8 @@ void Version::Unref() {
 
 // An internal iterator. For a given version/level pair, yields information
 // about the files in the level. For a given entry, key() is the largest key
-// that occurs in the file, and value() is a 16-byte value containing the
-// file number and file size, both encoded using EncodeFixed64.
+// that occurs in the file, and value() holds the bytes of the file's
+// FileMetaData pointer, which the version keeps alive.
 class LevelFileNumIterator : public Iterator {
  public:
   LevelFileNumIterator(const InternalKeyComparator& icmp,
@@ -164,9 +164,8 @@ class LevelFileNumIterator : public Iterator {
   }
   Slice value() const override {
     assert(Valid());
-    EncodeFixed64(value_buf_, (*flist_)[index_]->number);
-    EncodeFixed64(value_buf_ + 8, (*flist_)[index_]->file_size);
-    return Slice(value_buf_, sizeof(value_buf_));
+    return Slice(reinterpret_cast<const char*>(&(*flist_)[index_]),
+                 sizeof(FileMetaData*));
   }
   Status status() const override { return Status::OK(); }
 
@@ -174,21 +173,18 @@ class LevelFileNumIterator : public Iterator {
   const InternalKeyComparator icmp_;
   const std::vector<FileMetaData*>* const flist_;
   size_t index_;
-
-  // Backing store for value(). Holds the file number and size.
-  mutable char value_buf_[16];
 };
 
 static Iterator* GetFileIterator(void* arg, const ReadOptions& options,
                                  const Slice& file_value) {
   TableCache* cache = reinterpret_cast<TableCache*>(arg);
-  if (file_value.size() != 16) {
+  if (file_value.size() != sizeof(FileMetaData*)) {
     return NewErrorIterator(
         Status::Corruption("FileReader invoked with unexpected value"));
-  } else {
-    return cache->NewIterator(options, DecodeFixed64(file_value.data()),
-                              DecodeFixed64(file_value.data() + 8));
   }
+  const FileMetaData* f = nullptr;
+  std::memcpy(&f, file_value.data(), sizeof(f));
+  return cache->NewIterator(options, *f);
 }
 
 Iterator* Version::NewConcatenatingIterator(const ReadOptions& options,
@@ -207,9 +203,8 @@ void Version::AddIterators(const ReadOptions& options,
       // entries on ties (the internal key comparator already breaks ties by
       // sequence, so order here only matters for efficiency).
       for (size_t i = files_[level].size(); i > 0; i--) {
-        const FileMetaData* f = files_[level][i - 1];
         iters->push_back(
-            vset_->table_cache_->NewIterator(options, f->number, f->file_size));
+            vset_->table_cache_->NewIterator(options, *files_[level][i - 1]));
       }
     } else {
       // For sorted levels, we can use a concatenating iterator that
@@ -292,9 +287,8 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
         saver.ucmp = ucmp;
         saver.user_key = user_key;
         saver.value = value;
-        Status s = vset_->table_cache_->Get(options, f->number, f->file_size,
-                                            ikey, user_key, &saver, SaveValue,
-                                            filter_negatives);
+        Status s = vset_->table_cache_->Get(options, *f, ikey, user_key, &saver,
+                                            SaveValue, filter_negatives);
         if (!s.ok()) return s;
         switch (saver.state) {
           case kNotFound:
@@ -323,9 +317,8 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
       saver.ucmp = ucmp;
       saver.user_key = user_key;
       saver.value = value;
-      Status s = vset_->table_cache_->Get(options, f->number, f->file_size,
-                                          ikey, user_key, &saver, SaveValue,
-                                          filter_negatives);
+      Status s = vset_->table_cache_->Get(options, *f, ikey, user_key, &saver,
+                                          SaveValue, filter_negatives);
       if (!s.ok()) return s;
       switch (saver.state) {
         case kNotFound:
@@ -409,30 +402,20 @@ void Version::MultiGet(const ReadOptions& options, MultiGetItem* items,
       }
       if (lookups.empty()) break;
 
-      // Pin each distinct table once for the round, then prepare every
-      // lookup (bloom + index seek + block-cache check -- no file IO).
-      std::map<uint64_t, std::pair<Table*, Cache::Handle*>> pinned;
+      // Prepare every lookup (bloom + index seek + block-cache check -- no
+      // file IO).
       std::vector<MultiGetLookup*> ready;    // kReady: resolve without IO
       std::vector<MultiGetLookup*> pending;  // kNeedsRead: block read first
       ready.reserve(lookups.size());
       pending.reserve(lookups.size());
       for (MultiGetLookup& lk : lookups) {
         MultiGetItem& item = items[lk.item];
-        auto it = pinned.find(lk.file->number);
-        if (it == pinned.end()) {
-          Table* table = nullptr;
-          Cache::Handle* handle = nullptr;
-          Status s = vset_->table_cache_->PinTable(
-              lk.file->number, lk.file->file_size, &table, &handle);
-          if (!s.ok()) {
-            item.status = s;
-            item.done = true;
-            continue;
-          }
-          it = pinned.emplace(lk.file->number, std::make_pair(table, handle))
-                   .first;
+        Status s = vset_->table_cache_->PinTable(*lk.file, &lk.table);
+        if (!s.ok()) {
+          item.status = s;
+          item.done = true;
+          continue;
         }
-        lk.table = it->second.first;
         const TablePrepare prep = lk.table->PrepareGet(
             options, item.key->internal_key(), item.key->user_key(), &lk.req,
             filter_negatives);
@@ -509,10 +492,6 @@ void Version::MultiGet(const ReadOptions& options, MultiGetItem* items,
         if (group_lookups[g].empty()) continue;
         cqs[g].WaitFor(group_lookups[g].size());
         for (MultiGetLookup* lk : group_lookups[g]) resolve(lk);
-      }
-
-      for (auto& entry : pinned) {
-        vset_->table_cache_->Unpin(entry.second.second);
       }
     }
   }
@@ -611,9 +590,13 @@ SequenceNumber Version::MaxRangeCoveringSeq(const Slice& user_key,
           ucmp->Compare(user_key, f->range_del_end) >= 0) {
         continue;
       }
-      SequenceNumber seq = vset_->table_cache_->MaxRangeCoveringSeq(
-          f->number, f->file_size, user_key, snapshot);
-      if (seq > best) best = seq;
+      // An open error leaves coverage at "none": the point read against
+      // the same file reports it.
+      Table* table = nullptr;
+      if (!vset_->table_cache_->PinTable(*f, &table).ok()) continue;
+      best = std::max(best,
+                      table->range_tombstones().MaxCoveringSeq(user_key,
+                                                               snapshot));
     }
   }
   return best;
@@ -630,9 +613,12 @@ Status Version::RangeTombstoneFragments(
       for (FileMetaData* f : files_[level]) {
         if (!f->has_range_tombstones()) continue;
         // io: unlocked -- table opens; the pinned version keeps f alive
-        Status s = vset_->table_cache_->GetRangeTombstones(
-            f->number, f->file_size, &raw);
+        Table* table = nullptr;
+        Status s = vset_->table_cache_->PinTable(*f, &table);
         if (!s.ok()) return s;
+        const std::vector<RangeTombstone>& file_raw =
+            table->raw_range_tombstones();
+        raw.insert(raw.end(), file_raw.begin(), file_raw.end());
       }
     }
     auto fresh = std::make_unique<FragmentedRangeTombstoneList>();
@@ -1435,9 +1421,8 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
       const int lvl = (which == 0) ? c->level() : c->output_level();
       if (IsOverlappingLevel(options_, lvl)) {
         const std::vector<FileMetaData*>& files = c->inputs_[which];
-        for (size_t i = 0; i < files.size(); i++) {
-          list[num++] = table_cache_->NewIterator(options, files[i]->number,
-                                                  files[i]->file_size);
+        for (const FileMetaData* f : files) {
+          list[num++] = table_cache_->NewIterator(options, *f);
         }
       } else {
         // Create concatenating iterator for the files from this level

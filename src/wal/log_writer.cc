@@ -25,9 +25,10 @@ Writer::Writer(WritableFile* dest, uint64_t dest_length)
   InitTypeCrc(type_crc_);
 }
 
-Status Writer::AddRecord(const Slice& slice) {
+Status Writer::AddRecord(const Slice& slice, uint64_t* bytes_written) {
   const char* ptr = slice.data();
   size_t left = slice.size();
+  uint64_t appended = 0;
 
   // Fragment the record if necessary and emit it. Note that if slice is
   // empty, we still want to iterate once to emit a single zero-length record.
@@ -44,6 +45,7 @@ Status Writer::AddRecord(const Slice& slice) {
         // A failed trailer write is deliberately ignored: the next
         // AddRecord surfaces the error, and readers resync past torn tails.
         (void)dest_->Append(Slice("\x00\x00\x00\x00\x00\x00", leftover));
+        appended += leftover;
       }
       block_offset_ = 0;
     }
@@ -67,10 +69,12 @@ Status Writer::AddRecord(const Slice& slice) {
     }
 
     s = EmitPhysicalRecord(type, ptr, fragment_length);
+    appended += kHeaderSize + fragment_length;
     ptr += fragment_length;
     left -= fragment_length;
     begin = false;
   } while (s.ok() && left > 0);
+  if (bytes_written != nullptr) *bytes_written = appended;
   return s;
 }
 

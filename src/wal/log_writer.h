@@ -25,7 +25,10 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  Status AddRecord(const Slice& slice);
+  // Append |slice| as one logical record. A non-null |bytes_written|
+  // receives the physical bytes this call appended to the file: the payload
+  // plus every fragment's header and any block-trailer padding.
+  Status AddRecord(const Slice& slice, uint64_t* bytes_written = nullptr);
 
  private:
   Status EmitPhysicalRecord(RecordType type, const char* ptr, size_t length);

@@ -13,6 +13,7 @@
 
 #include "src/env/env.h"
 #include "src/lsm/db.h"
+#include "src/lsm/db_impl.h"
 #include "src/util/random.h"
 
 namespace acheron {
@@ -324,6 +325,51 @@ TEST_F(ConcurrencyTest, GetTakesNoMutex) {
   EXPECT_EQ(std::stoull(c0) + 1, std::stoull(c1));
 }
 
+TEST_F(ConcurrencyTest, WarmReadsMakeNoTableCacheLookups) {
+  // Tables on several levels, one of them holding a live range tombstone.
+  for (int i = 0; i < 3000; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), "v" + Key(i)).ok());
+  }
+  ASSERT_TRUE(
+      db_->DeleteRange(WriteOptions(), Key(1000), Key(1100)).ok());
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  auto* impl = static_cast<DBImpl*>(db_);
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(1050), &value).IsNotFound());
+
+  // Warm-up: a full scan reads every file once.
+  auto scan = [&] {
+    std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
+    uint64_t n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) n++;
+    ASSERT_TRUE(it->status().ok());
+    EXPECT_EQ(2900u, n);
+  };
+  scan();
+  const uint64_t warm = impl->TEST_TableCacheLookups();
+  EXPECT_GT(warm, 0u);
+
+  // Gets (hits, misses, keys under the range tombstone), a MultiGet batch
+  // and another scan all reach tables through their version's pins.
+  Random rnd(41);
+  for (int i = 0; i < 2000; i++) {
+    Status s = db_->Get(ReadOptions(), Key(rnd.Uniform(4000)), &value);
+    ASSERT_TRUE(s.ok() || s.IsNotFound());
+  }
+  std::vector<std::string> keys;
+  std::vector<Slice> slices;
+  for (int i = 0; i < 64; i++) keys.push_back(Key(rnd.Uniform(4000)));
+  for (const std::string& k : keys) slices.emplace_back(k);
+  std::vector<std::string> values;
+  for (const Status& s : db_->MultiGet(ReadOptions(), slices, &values)) {
+    ASSERT_TRUE(s.ok() || s.IsNotFound());
+  }
+  scan();
+  EXPECT_TRUE(db_->Get(ReadOptions(), Key(1050), &value).IsNotFound());
+  EXPECT_EQ(warm, impl->TEST_TableCacheLookups());
+}
+
 TEST_F(ConcurrencyTest, IteratorTakesNoMutex) {
   for (int i = 0; i < 2000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), "v").ok());
@@ -534,6 +580,98 @@ TEST_F(BackgroundConcurrencyTest, IteratorsRaceRangeDeletesAndCompactions) {
     const InternalStats stats = t.db->GetStats();
     EXPECT_GT(stats.compaction_count, 0u) << "background=" << background;
     EXPECT_GT(stats.range_fragment_builds, 0u) << "background=" << background;
+  }
+}
+
+TEST_F(BackgroundConcurrencyTest, TableFirstTouchesRaceFileRetirement) {
+  // Readers race to pin the tables of freshly installed files (Get,
+  // MultiGet and iterator first touches publish each file's table pin)
+  // while the writer's flushes and compactions retire those files and
+  // their versions die. Each writer round puts one block of keys, then
+  // range-deletes the block's lower half; a reader that saw round r
+  // complete must find exactly the upper half of every block up to r.
+  const uint64_t kBlock = 32;
+  const uint64_t kRounds = 160;
+  for (bool background : {false, true}) {
+    TestDB t(background);
+    std::atomic<uint64_t> rounds_done{0};
+    std::atomic<bool> done{false};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> checks{0};
+
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 4; r++) {
+      readers.emplace_back([&, r] {
+        Random rnd(900 + r);
+        std::string value;
+        while (!done.load(std::memory_order_acquire)) {
+          const uint64_t completed =
+              rounds_done.load(std::memory_order_acquire);
+          if (completed == 0) continue;
+          const uint64_t base = rnd.Uniform(completed) * kBlock;
+          switch (rnd.Uniform(3)) {
+            case 0: {
+              const uint64_t j = rnd.Uniform(kBlock);
+              Status s = t.db->Get(ReadOptions(), Key(base + j), &value);
+              const bool live = j >= kBlock / 2;
+              if (live ? !(s.ok() && value == "live") : !s.IsNotFound()) {
+                errors.fetch_add(1);
+              }
+              break;
+            }
+            case 1: {
+              std::vector<std::string> keys;
+              for (uint64_t j = 0; j < kBlock; j++) {
+                keys.push_back(Key(base + j));
+              }
+              std::vector<Slice> slices(keys.begin(), keys.end());
+              std::vector<std::string> values;
+              std::vector<Status> st =
+                  t.db->MultiGet(ReadOptions(), slices, &values);
+              for (uint64_t j = 0; j < kBlock; j++) {
+                const bool live = j >= kBlock / 2;
+                if (live ? !(st[j].ok() && values[j] == "live")
+                         : !st[j].IsNotFound()) {
+                  errors.fetch_add(1);
+                }
+              }
+              break;
+            }
+            default: {
+              std::unique_ptr<Iterator> it(t.db->NewIterator(ReadOptions()));
+              it->Seek(Key(base));
+              if (!it->Valid() || it->key() != Key(base + kBlock / 2) ||
+                  it->value() != "live") {
+                errors.fetch_add(1);
+              }
+              break;
+            }
+          }
+          checks.fetch_add(1);
+        }
+      });
+    }
+
+    for (uint64_t round = 0; round < kRounds; round++) {
+      for (uint64_t j = 0; j < kBlock; j++) {
+        ASSERT_TRUE(
+            t.db->Put(WriteOptions(), Key(round * kBlock + j), "live").ok());
+      }
+      ASSERT_TRUE(t.db->DeleteRange(WriteOptions(), Key(round * kBlock),
+                                    Key(round * kBlock + kBlock / 2))
+                      .ok());
+      rounds_done.store(round + 1, std::memory_order_release);
+      if (round % 40 == 39) t.db->CompactRange(nullptr, nullptr);
+    }
+    ASSERT_TRUE(t.db->WaitForCompactions().ok());
+    done.store(true, std::memory_order_release);
+    for (auto& th : readers) th.join();
+
+    EXPECT_EQ(0u, errors.load()) << "background=" << background;
+    EXPECT_GT(checks.load(), 0u) << "background=" << background;
+    const InternalStats stats = t.db->GetStats();
+    EXPECT_GT(stats.flush_count, 0u) << "background=" << background;
+    EXPECT_GT(stats.compaction_count, 0u) << "background=" << background;
   }
 }
 

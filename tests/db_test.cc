@@ -13,6 +13,7 @@
 #include "src/env/env.h"
 #include "src/env/fault_env.h"
 #include "src/lsm/db_impl.h"
+#include "src/lsm/filename.h"
 #include "src/util/random.h"
 
 namespace acheron {
@@ -436,6 +437,37 @@ TEST_F(DBTest, StatsTrackWrites) {
   EXPECT_GT(stats.flush_count, 0u);
   EXPECT_GT(stats.flush_bytes_written, 0u);
   EXPECT_GE(stats.WriteAmplification(), 1.0);
+}
+
+TEST_F(DBTest, WalBytesWrittenCountsWalFileBytes) {
+  // One WAL for the whole test: nothing is flushed, so no WAL is retired.
+  options_.write_buffer_size = 4 << 20;
+  ASSERT_TRUE(Open().ok());
+  // Small records leave block tails under one header long (padded), and
+  // records larger than a 32 KiB block are split into fragments, each with
+  // its own header.
+  Random rnd(301);
+  for (int i = 0; i < 400; i++) {
+    const size_t len = (i % 50 == 49) ? 40000 + rnd.Uniform(60000)
+                                      : rnd.Uniform(300);
+    ASSERT_TRUE(Put("key" + std::to_string(i), std::string(len, 'v')).ok());
+  }
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  uint64_t wal_file_bytes = 0;
+  int wal_files = 0;
+  for (const std::string& name : children) {
+    uint64_t number = 0;
+    FileType type;
+    if (!ParseFileName(name, &number, &type) || type != kLogFile) continue;
+    uint64_t size = 0;
+    ASSERT_TRUE(env_->GetFileSize("/db/" + name, &size).ok());
+    wal_file_bytes += size;
+    wal_files++;
+  }
+  EXPECT_EQ(1, wal_files);
+  EXPECT_EQ(0u, db_->GetStats().flush_count);
+  EXPECT_EQ(wal_file_bytes, db_->GetStats().wal_bytes_written);
 }
 
 TEST_F(DBTest, DestroyDBRemovesEverything) {

@@ -1370,6 +1370,133 @@ def check_sync_before_install(models, reporter, reg):
     closure(t_syncs)
     closure(t_installs)
 
+    # Pending outputs are tracked per file. Each pending entry carries the
+    # names of the locals or members that hold the file: the out-argument
+    # of NewWritableFile, the receiver of a helper whose summary creates
+    # one (`out.Open(...)`), plus every name the holder is moved or
+    # released into (`reloc = make_unique<W>(std::move(file))`). A Sync
+    # through a receiver clears only the entries that name it; a Sync with
+    # no receiver (a bare helper, a SubmitSync/WaitFor pair) clears all.
+    # A bare helper call that returns with an output pending adds an
+    # entry no receiver names, so syncing some other file between it and
+    # the install does not hide it.
+    toks_of = {id(fn): reg.lexed_of[id(fn)].tokens for fn in all_funcs}
+
+    def chain_key(ids):
+        ids = [x for x in ids if x != "this"]
+        if not ids or "<expr>" in ids:
+            return None
+        return ".".join(ids)
+
+    def out_arg_key(c):
+        depth = 0
+        last = []
+        for t in c.arg_tokens:
+            if t.text in ("(", "[", "{", "<"):
+                depth += 1
+            elif t.text in (")", "]", "}", ">"):
+                depth -= 1
+            elif t.text == "," and depth == 0:
+                last = []
+                continue
+            last.append(t)
+        return chain_key([t.text for t in last if t.kind == "id" and
+                          t.text not in ("get", "release")])
+
+    def assigned_to(fn, c):
+        """Chain assigned by the statement holding call |c| (`x = ...`),
+        or None when the statement is not a plain assignment."""
+        toks = toks_of[id(fn)]
+        j = c.index - 1
+        eq = None
+        depth = 0  # parens closed between the call and j, scanning back
+        while j >= 0 and toks[j].text not in (";", "{", "}"):
+            if toks[j].text == ")":
+                depth += 1
+            elif toks[j].text == "(" and depth > 0:
+                depth -= 1
+            elif toks[j].text == "=" and depth == 0:
+                eq = j  # keeps the leftmost: the statement's assignment
+            j -= 1
+        if eq is None or eq == 0 or toks[eq - 1].kind != "id":
+            return None
+        return chain_key(_recv_chain(toks, eq - 1) + [toks[eq - 1].text])
+
+    def moved_names(fn, c):
+        """(holder, new_holder) when |c| transfers a holder elsewhere:
+        `std::move(h)` or `h.release()`; new_holder may be None."""
+        if c.name == "move" and c.recv == ["std"]:
+            held = chain_key([t.text for t in c.arg_tokens
+                              if t.kind == "id"])
+        elif c.name == "release" and c.recv:
+            held = chain_key(c.recv)
+        else:
+            return None
+        if held is None:
+            return None
+        return held, assigned_to(fn, c)
+
+    def names_match(a, b):
+        return a == b or a.startswith(b + ".") or b.startswith(a + ".")
+
+    def walk(fn, on_install):
+        """Walk |fn|'s calls in order; return the entries still pending.
+        Each entry is [line, what, names, escaped]."""
+        pending = []
+        submitted = False
+        for c in sorted(fn.calls, key=lambda c: c.index):
+            callees = [g for g in reg.resolve_callees(fn, c) if g is not fn]
+            recv_key = chain_key(c.recv) if c.recv else None
+            if c.name in ASYNC_SUBMIT_CALLS:
+                # In flight, not durable: never clears pending by itself
+                # (the worker body's fsync must not leak through).
+                submitted = True
+                is_sync = False
+            elif c.name in ASYNC_WAIT_CALLS:
+                is_sync = submitted
+                submitted = False
+                recv_key = None  # the request names the file, not cq
+            else:
+                is_sync = c.name in SYNC_CALLS or \
+                    any(t_syncs[id(g)] for g in callees)
+            direct_create = (c.name in CREATE_CALLS and
+                             qualifying_create(fn, c))
+            summary_create = not direct_create and \
+                any(ends_pending[id(g)] for g in callees)
+            is_install = c.name in INSTALL_CALLS or \
+                any(t_installs[id(g)] for g in callees)
+            if is_install and pending:
+                on_install(c, pending[0])
+                pending = []
+            moved = moved_names(fn, c)
+            if moved is not None:
+                held, holder = moved
+                for e in pending:
+                    if any(names_match(held, n) for n in e[2]):
+                        if holder is None:
+                            e[3] = True
+                        else:
+                            e[2].add(holder)
+            if is_sync:
+                if recv_key is None:
+                    pending = []
+                else:
+                    pending = [e for e in pending
+                               if not e[3] and
+                               not any(names_match(recv_key, n)
+                                       for n in e[2])]
+            if (direct_create or summary_create) and c.name != fn.name:
+                if direct_create:
+                    key = out_arg_key(c)
+                else:
+                    key = recv_key if c.recv else None
+                names = {key} if key is not None else {f"<{c.name}>"}
+                # A direct create whose holder cannot be named is cleared
+                # by any later Sync, as before per-file tracking.
+                escaped = direct_create and key is None
+                pending.append([c.start_line, c.name, names, escaped])
+        return pending
+
     # ends_pending: fn RETURNS with a qualifying output file created but not
     # yet synced. Walking each body in call order (to fixpoint, since it
     # depends on callee summaries) is what lets a self-contained
@@ -1382,65 +1509,23 @@ def check_sync_before_install(models, reporter, reg):
         changed = False
         guard += 1
         for fn in all_funcs:
-            pending = False
-            submitted = False
-            for c in sorted(fn.calls, key=lambda c: c.index):
-                callees = [g for g in reg.resolve_callees(fn, c)
-                           if g is not fn]
-                if c.name in ASYNC_SUBMIT_CALLS:
-                    # In flight, not durable: never clears pending by
-                    # itself (handled before the callee-summary branch so
-                    # the worker body's fsync cannot leak through).
-                    submitted = True
-                elif c.name in ASYNC_WAIT_CALLS:
-                    if submitted:
-                        pending = False
-                        submitted = False
-                elif c.name in CREATE_CALLS and qualifying_create(fn, c):
-                    pending = True
-                elif any(ends_pending[id(g)] for g in callees):
-                    pending = True
-                elif c.name in SYNC_CALLS or \
-                        any(t_syncs[id(g)] for g in callees):
-                    pending = False
+            pending = bool(walk(fn, lambda c, e: None))
             if pending != ends_pending[id(fn)]:
                 ends_pending[id(fn)] = pending
                 changed = True
 
     for fn in all_funcs:
-        pending = None  # (line, what)
-        submitted = False
-        for c in sorted(fn.calls, key=lambda c: c.index):
-            callees = [g for g in reg.resolve_callees(fn, c) if g is not fn]
-            if c.name in ASYNC_SUBMIT_CALLS:
-                submitted = True
-                is_sync = False
-            elif c.name in ASYNC_WAIT_CALLS:
-                is_sync = submitted
-                submitted = False
-            else:
-                is_sync = c.name in SYNC_CALLS or \
-                    any(t_syncs[id(g)] for g in callees)
-            is_create = (c.name in CREATE_CALLS and
-                         qualifying_create(fn, c)) or \
-                any(ends_pending[id(g)] for g in callees)
-            is_install = c.name in INSTALL_CALLS or \
-                any(t_installs[id(g)] for g in callees)
-            if is_install and pending is not None:
-                reporter.report(
-                    reg.lexed_of[id(fn)], c.start_line,
-                    "sync-before-install",
-                    f"install call '{c.name}(...)' in {fn.qname} is "
-                    f"reachable after an output file created at line "
-                    f"{pending[0]} with no WritableFile::Sync (or completed "
-                    "SubmitSync/WaitFor pair) in between; a crash could "
-                    "leave a durable version pointing at a torn table "
-                    "(PR-3 invariant)")
-                pending = None
-            if is_sync:
-                pending = None
-            if is_create and c.name != fn.name:
-                pending = (c.start_line, c.name)
+        def report(c, entry, fn=fn):
+            reporter.report(
+                reg.lexed_of[id(fn)], c.start_line,
+                "sync-before-install",
+                f"install call '{c.name}(...)' in {fn.qname} is "
+                f"reachable after an output file created at line "
+                f"{entry[0]} with no WritableFile::Sync of that file (or "
+                "completed SubmitSync/WaitFor pair) in between; a crash "
+                "could leave a durable version pointing at a torn table "
+                "(PR-3 invariant)")
+        walk(fn, report)
 
 
 # ---------------------------------------------------------------------------
