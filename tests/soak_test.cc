@@ -123,15 +123,19 @@ TEST_P(SoakTest, LongRandomizedRun) {
   EXPECT_TRUE(it->status().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, SoakTest,
-    ::testing::Values(
-        SoakConfig{CompactionStyle::kLeveling, 0, false, "LevelingVanilla"},
-        SoakConfig{CompactionStyle::kLeveling, 6000, false, "LevelingFade"},
-        SoakConfig{CompactionStyle::kLeveling, 6000, true,
-                   "LevelingFadePicking"},
-        SoakConfig{CompactionStyle::kTiering, 0, false, "TieringVanilla"},
-        SoakConfig{CompactionStyle::kTiering, 6000, false, "TieringFade"}),
-    SoakName);
+// Static storage zero-fills the struct's padding. gtest prints a param
+// without a PrintTo as its raw bytes, and those bytes name the discovered
+// ctest cases; temporaries would leave stack garbage in the padding and give
+// the same case a different name on every discovery run.
+static const SoakConfig kSoakConfigs[] = {
+    {CompactionStyle::kLeveling, 0, false, "LevelingVanilla"},
+    {CompactionStyle::kLeveling, 6000, false, "LevelingFade"},
+    {CompactionStyle::kLeveling, 6000, true, "LevelingFadePicking"},
+    {CompactionStyle::kTiering, 0, false, "TieringVanilla"},
+    {CompactionStyle::kTiering, 6000, false, "TieringFade"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Matrix, SoakTest, ::testing::ValuesIn(kSoakConfigs),
+                         SoakName);
 
 }  // namespace acheron
